@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """The bundled relational engine as a standalone tool.
 
-The substrate built for SSJoin is a usable micro-database: catalog, fluent
-query builder, SQL front end, EXPLAIN. This example loads the synthetic
-customer data and answers ordinary analytics questions three equivalent
-ways — raw operators, the Query builder, and SQL — showing they agree.
+The substrate built for SSJoin is a usable micro-database: catalog, plan
+nodes, SQL front end, EXPLAIN. This example loads the synthetic customer
+data and answers ordinary analytics questions two equivalent ways — a
+plan-node tree built by hand and SQL — showing they agree.
 
 Run:  python examples/engine_analytics.py
 """
@@ -12,11 +12,13 @@ Run:  python examples/engine_analytics.py
 from repro.data.customers import CustomerConfig, generate_customers
 from repro.relational import (
     Catalog,
-    Query,
+    GroupBy,
+    Limit,
+    OrderBy,
     Relation,
+    TableScan,
     agg_count,
-    col,
-    group_by,
+    explain,
 )
 from repro.relational.sql import execute_sql
 
@@ -33,30 +35,28 @@ def main() -> None:
         Relation.from_rows(["name", "address", "city", "state"], records),
     )
 
-    print("== Q: customers per state (top 5) — three equivalent ways ==\n")
+    print("== Q: customers per state (top 5) — two equivalent ways ==\n")
 
-    # 1. Raw operators.
-    by_state = group_by(
-        catalog.get("customers"), ["state"], [agg_count("n")]
-    ).order_by(["n"], reverse=True).head(5)
-    print("raw operators :", list(by_state.rows))
-
-    # 2. Fluent query builder.
-    q = (
-        Query.table(catalog, "customers")
-        .group_by(["state"], [agg_count("n")])
-        .order_by(("n", "desc"), "state")
-        .limit(5)
+    # 1. A plan-node tree, built by hand.
+    plan = Limit(
+        OrderBy(
+            GroupBy(TableScan("customers"), ["state"], [agg_count("n")]),
+            [("n", "desc"), "state"],
+        ),
+        5,
     )
-    print("query builder :", list(q.execute().rows))
+    by_plan = list(plan.execute(catalog).rows)
+    print("plan nodes :", by_plan)
 
-    # 3. SQL.
+    # 2. SQL, which the compiler lowers to the same kind of tree.
     sql = ("SELECT state, COUNT(*) AS n FROM customers "
            "GROUP BY state ORDER BY n DESC, state LIMIT 5")
-    print("sql           :", list(execute_sql(catalog, sql).rows))
+    by_sql = list(execute_sql(catalog, sql).rows)
+    print("sql        :", by_sql)
+    assert by_plan == by_sql
 
-    print("\n== EXPLAIN of the builder plan ==")
-    print(q.explain())
+    print("\n== EXPLAIN of the hand-built plan ==")
+    print(explain(plan))
 
     print("\n== Q: cities with multiple distinct customer names ==")
     out = execute_sql(

@@ -12,12 +12,11 @@ parallel kernel, or placed into a result constructor (``Batch``,
 ``BatchStream``, ``ColumnarRelation``, ``Relation``) anywhere.
 
 **Kernel purity (DF302-DF304)** — a *kernel* (a function shipped to a
-``ProcessPoolExecutor``, a pool ``initializer=``, or a vectorized batch
-method such as ``bind_select``/``batches``/``_run_batched`` on a
-``batch_protocol``/``_VectorizedNode`` class) must not mutate its
-parameters in place (DF302), must not write module globals or nonlocals
-(DF303), and must be picklable — no lambdas or nested closures shipped
-across the process boundary (DF304).
+``ProcessPoolExecutor``, a pool ``initializer=``, or the ``batches``
+method of ``PlanNode`` or any class deriving from it, bases followed
+transitively) must not mutate its parameters in place (DF302), must not
+write module globals or nonlocals (DF303), and must be picklable — no
+lambdas or nested closures shipped across the process boundary (DF304).
 
 **Nondeterminism & float order (DF305-DF306)** — wall-clock/random/
 ``id()``/``hash()`` values must not reach emitted data (DF305; telemetry
@@ -76,10 +75,10 @@ DF_RULES: Dict[str, Tuple[str, str]] = {
 #: Executor/pool methods whose callable argument crosses a process
 #: boundary (first positional argument is the shipped function).
 _POOL_METHODS = frozenset({"submit", "map", "apply_async", "imap", "imap_unordered"})
-#: Methods that ARE the vectorized kernel surface on batch-protocol nodes.
-_KERNEL_METHODS = frozenset({"bind_select", "batches", "_run_batched"})
-#: Base-class names marking a class as a vectorized plan node.
-_VECTOR_BASES = frozenset({"_VectorizedNode", "VectorizedNode"})
+#: The method that IS the kernel surface of every plan node.
+_KERNEL_METHOD = "batches"
+#: Root of the plan-node class hierarchy.
+_PLAN_ROOT = "PlanNode"
 
 
 @dataclass
@@ -103,30 +102,30 @@ def _pool_callable_args(call: ast.Call) -> List[ast.expr]:
     return shipped
 
 
-def _batch_class(node: ast.ClassDef) -> bool:
+def _base_names(node: ast.ClassDef) -> List[str]:
+    names = []
     for base in node.bases:
         name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
-        if name in _VECTOR_BASES:
-            return True
-    for item in node.body:
-        targets: List[ast.expr] = []
-        if isinstance(item, ast.Assign):
-            targets = item.targets
-            value = item.value
-        elif isinstance(item, ast.AnnAssign) and item.value is not None:
-            targets = [item.target]
-            value = item.value
-        else:
-            continue
-        for t in targets:
-            if (
-                isinstance(t, ast.Name)
-                and t.id == "batch_protocol"
-                and isinstance(value, ast.Constant)
-                and value.value == "batch"
-            ):
-                return True
-    return False
+        if name is not None:
+            names.append(name)
+    return names
+
+
+def _plan_node_classes(classes: Dict[str, List[str]]) -> Set[str]:
+    """Names of :data:`_PLAN_ROOT` and every class deriving from it.
+
+    *classes* maps each class name to its base names; bases are resolved
+    by name across every loaded module, transitively.
+    """
+    found = {_PLAN_ROOT}
+    changed = True
+    while changed:
+        changed = False
+        for name, bases in classes.items():
+            if name not in found and any(b in found for b in bases):
+                found.add(name)
+                changed = True
+    return found
 
 
 class DataflowAnalyzer:
@@ -142,7 +141,7 @@ class DataflowAnalyzer:
         self.modules: List[_Module] = []
         #: basenames of functions shipped to pools anywhere in the run.
         self.kernel_names: Set[str] = set()
-        #: qualnames ("Class.method") of vectorized kernel methods.
+        #: qualnames ("Class.batches") of plan-node kernel methods.
         self.kernel_quals: Set[str] = set()
         self.function_count = 0
 
@@ -168,6 +167,7 @@ class DataflowAnalyzer:
     # -- kernel discovery --------------------------------------------------
 
     def _discover_kernels(self) -> None:
+        class_defs: List[ast.ClassDef] = []
         for mod in self.modules:
             for node in ast.walk(mod.tree):
                 if isinstance(node, ast.Call):
@@ -176,13 +176,20 @@ class DataflowAnalyzer:
                             self.kernel_names.add(shipped.id)
                         elif isinstance(shipped, ast.Attribute):
                             self.kernel_names.add(shipped.attr)
-                elif isinstance(node, ast.ClassDef) and _batch_class(node):
-                    for item in node.body:
-                        if (
-                            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                            and item.name in _KERNEL_METHODS
-                        ):
-                            self.kernel_quals.add(f"{node.name}.{item.name}")
+                elif isinstance(node, ast.ClassDef):
+                    class_defs.append(node)
+        plan_nodes = _plan_node_classes(
+            {node.name: _base_names(node) for node in class_defs}
+        )
+        for node in class_defs:
+            if node.name not in plan_nodes:
+                continue
+            for item in node.body:
+                if (
+                    isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name == _KERNEL_METHOD
+                ):
+                    self.kernel_quals.add(f"{node.name}.{item.name}")
 
     def _is_kernel(self, info: FunctionInfo) -> bool:
         return info.name in self.kernel_names or info.qualname in self.kernel_quals

@@ -79,8 +79,10 @@ def basic_ssjoin(
         )
         # Candidate pairs in the basic plan = all non-zero-overlap pairs,
         # i.e. the number of groups before HAVING. Recover it from the join
-        # result cheaply via a distinct count.
-        m.candidate_pairs += len(joined.project(["a_r", "a_s"]).distinct())
+        # result cheaply via a distinct count over its two key columns.
+        m.candidate_pairs += len(
+            set(zip(joined.column_values("a_r"), joined.column_values("a_s")))
+        )
         result = grouped.project(["a_r", "a_s", "overlap", "norm_r", "norm_s"])
         m.output_pairs += len(result)
     return result

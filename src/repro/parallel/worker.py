@@ -215,7 +215,7 @@ class ShardResult:
 
     @property
     def rows(self) -> Tuple[Tuple[Any, ...], ...]:
-        """Row-tuple view (boundary adapter for row-protocol consumers)."""
+        """Row-tuple view, for consumers that read ``.rows``."""
         return tuple(zip(*self.columns)) if self.columns[0] else ()
 
 

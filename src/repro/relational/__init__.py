@@ -2,9 +2,10 @@
 
 The ICDE'06 paper implements SSJoin as trees of standard relational
 operators over SQL Server. This subpackage supplies those operators in pure
-Python: relations over row tuples, scalar expressions, equi-joins (hash and
-sort-merge), nested-loop θ-joins, GROUP BY/HAVING, the groupwise-processing
-operator, a table catalog with statistics, and explainable logical plans.
+Python: relations over row tuples, scalar expressions, equi-joins (hash,
+sort-merge and left outer), GROUP BY/HAVING, the groupwise-processing
+operator, a table catalog with statistics, and explainable logical plans
+executed morsel by morsel over columnar batches.
 """
 
 from repro.relational.aggregates import (
@@ -21,36 +22,16 @@ from repro.relational.catalog import Catalog
 from repro.relational.context import ExecutionContext
 from repro.relational.expressions import col, const, maximum, minimum
 from repro.relational.groupwise import groupwise_apply, scan_groups
-from repro.relational.joins import (
-    JoinCounters,
-    cross_product,
-    hash_join,
-    left_outer_join,
-    merge_join,
-    nested_loop_join,
-    semi_join,
-)
-from repro.relational.operators import (
-    distinct,
-    extend,
-    limit,
-    order_by,
-    project,
-    select,
-    union_all,
-    value_counts,
-)
+from repro.relational.joins import hash_join
 from repro.relational.plan import (
-    Custom,
     Distinct,
     Extend,
     GroupBy,
-    Groupwise,
     HashJoin,
+    LeftOuterJoin,
     Limit,
     MaterializedInput,
     MergeJoin,
-    NestedLoopJoin,
     OrderBy,
     PlanNode,
     PreparedInput,
@@ -60,7 +41,6 @@ from repro.relational.plan import (
     TableScan,
     explain,
 )
-from repro.relational.query import Query
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 from repro.relational.stats import (
@@ -94,10 +74,8 @@ __all__ = [
     "Limit",
     "HashJoin",
     "MergeJoin",
-    "NestedLoopJoin",
+    "LeftOuterJoin",
     "GroupBy",
-    "Groupwise",
-    "Custom",
     "explain",
     "col",
     "const",
@@ -105,22 +83,7 @@ __all__ = [
     "minimum",
     "groupwise_apply",
     "scan_groups",
-    "JoinCounters",
-    "cross_product",
     "hash_join",
-    "left_outer_join",
-    "merge_join",
-    "nested_loop_join",
-    "semi_join",
-    "distinct",
-    "extend",
-    "limit",
-    "order_by",
-    "project",
-    "select",
-    "union_all",
-    "value_counts",
-    "Query",
     "Relation",
     "Column",
     "Schema",

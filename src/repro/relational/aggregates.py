@@ -13,10 +13,16 @@ HAVING filter expressed over ``group keys ++ aggregate outputs``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import sys
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import PlanError
-from repro.relational.batch import Batch, BatchStream
+from repro.relational.batch import (
+    Batch,
+    BatchStream,
+    columnar_relation_from_batches,
+    stream_relation,
+)
 from repro.relational.expressions import Expr
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
@@ -148,7 +154,8 @@ def group_by(
 
     Output schema is ``keys ++ [a.name for a in aggregates]``. The HAVING
     expression is bound against that output schema, so it may reference both
-    grouping columns and aggregate results (as in SQL).
+    grouping columns and aggregate results (as in SQL). A fold over
+    :func:`group_by_stream` with the input streamed as one morsel.
 
     >>> r = Relation.from_rows(["a", "w"], [("x", 1), ("x", 2), ("y", 5)])
     >>> from repro.relational.expressions import col
@@ -156,41 +163,16 @@ def group_by(
     >>> sorted(out.rows)
     [('x', 3), ('y', 5)]
     """
-    if not keys and not aggregates:
-        raise PlanError("group_by needs at least one key or aggregate")
-    key_pos = relation.schema.positions(list(keys))
-
-    input_fns: List[Optional[Callable]] = []
-    for agg in aggregates:
-        input_fns.append(None if agg.input_expr is None else agg.input_expr.bind(relation.schema))
-
-    # Bucket rows; keep insertion order for deterministic output.
-    groups: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in relation.rows:
-        key = tuple(row[p] for p in key_pos)
-        groups.setdefault(key, []).append(row)
-    if not keys and not groups:
-        # SQL: a global aggregate over an empty input yields one row
-        # (COUNT(*) = 0, SUM/MIN/MAX/AVG = NULL).
-        groups[()] = []
-
-    out_schema = Schema(
-        [relation.schema.column(k) for k in keys] + [Column(a.name) for a in aggregates]
+    whole = sys.maxsize
+    return columnar_relation_from_batches(
+        group_by_stream(
+            stream_relation(relation, whole),
+            keys,
+            aggregates,
+            having=having,
+            batch_size=whole,
+        )
     )
-    having_fn = having.bind(out_schema) if having is not None else None
-
-    out_rows: List[Tuple[Any, ...]] = []
-    for key, rows in groups.items():
-        agg_values = []
-        for agg, fn in zip(aggregates, input_fns):
-            if fn is None:
-                agg_values.append(agg.fn(rows))
-            else:
-                agg_values.append(agg.fn([fn(r) for r in rows]))
-        out_row = key + tuple(agg_values)
-        if having_fn is None or having_fn(out_row):
-            out_rows.append(out_row)
-    return Relation(out_schema, out_rows)
 
 
 # -- vectorized (batch-stream) grouped aggregation -----------------------------
@@ -201,14 +183,12 @@ def group_by(
 # column. Finalize is a single pass emitting flat output columns — no row
 # tuples and no per-group row buffering for the built-in kinds.
 #
-# Bit-identity with :func:`group_by` is load-bearing: groups are numbered
-# in first-occurrence order (same as the row path's insertion-ordered
-# dict), sums accumulate left-to-right from int 0 (identical to
-# ``sum(kept)``), min/max keep the first extremal value on ties, and the
-# streaming mean carries the exact (Σ, n) pair and divides once at
-# finalize — numerically stable in the sense that no per-row running-mean
-# division ever happens, while still reproducing ``sum(kept)/len(kept)``
-# to the bit.
+# Results are independent of the morsel size, to the bit: groups are
+# numbered in first-occurrence order, sums accumulate left-to-right from
+# int 0 (identical to ``sum(kept)``), min/max keep the first extremal
+# value on ties, and the streaming mean carries the exact (Σ, n) pair and
+# divides once at finalize — no per-row running-mean division ever
+# happens, so it reproduces ``sum(kept)/len(kept)`` exactly.
 
 #: Sentinel distinguishing "no value seen yet" from a NULL input.
 _MISSING = object()
@@ -303,7 +283,7 @@ class _BufferedState:
 
     With an input expression the buffers hold its values; without one
     (custom whole-row reducers) they hold row tuples — the only place the
-    batch path ever builds rows, and only for non-built-in aggregates.
+    executor ever builds rows, and only for non-built-in aggregates.
     """
 
     __slots__ = ("buffers", "fn", "reduce")
@@ -352,13 +332,14 @@ def group_by_stream(
     having: Optional[Expr] = None,
     batch_size: int = 4096,
 ) -> BatchStream:
-    """Vectorized :func:`group_by` over a morsel stream.
+    """Vectorized GROUP BY / HAVING over a morsel stream.
 
     A pipeline breaker: the generator consumes the whole child stream
     into the accumulator arrays, finalizes once, applies HAVING as a
     selection vector over the flat output columns, and emits the result
-    in *batch_size* morsels. Output rows, order and types are
-    bit-identical to the row path.
+    in *batch_size* morsels. Groups come out in first-occurrence order;
+    a global aggregate (no keys) yields exactly one row, even over an
+    empty input (SQL: COUNT(*) = 0, SUM/MIN/MAX/AVG = NULL).
     """
     if not keys and not aggregates:
         raise PlanError("group_by needs at least one key or aggregate")

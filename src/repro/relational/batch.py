@@ -1,22 +1,21 @@
-"""Columnar batches: the morsel currency of the vectorized plan path.
+"""Columnar batches: the morsel currency of the plan executor.
 
-The row protocol evaluates operators one Python tuple at a time — an
-interpreter dispatch, a closure call and a fresh tuple allocation per row
-per operator. The batch protocol instead flows **morsels**: fixed-capacity
+Evaluating operators one Python tuple at a time costs an interpreter
+dispatch, a closure call and a fresh tuple allocation per row per
+operator. The executor instead flows **morsels**: fixed-capacity
 :class:`Batch` objects holding parallel column lists under a shared
 :class:`~repro.relational.schema.Schema`. Vectorized operator kernels then
 amortize dispatch over thousands of rows (``list(map(fn, col_a, col_b))``
 runs the loop in C), pass untouched columns through by reference, and
 compact filters via selection vectors instead of materializing per-row.
 
-The module also provides the **boundary adapters** that keep the two
-protocols interchangeable — :func:`iter_batches_from_rows` chops a
-materialized relation into morsels, :func:`relation_from_batches` folds a
-batch stream back into an immutable :class:`Relation` — and
-:class:`ColumnarRelation`, a Relation that *carries* its columns and only
-materializes row tuples on first access, so the SSJoin physical layer can
-emit ``(a_r, a_s, overlap, norm_r, norm_s)`` straight from the encoded
-merge without a tuple round-trip.
+The module also moves data across the edges of a plan —
+:func:`stream_relation` chops a materialized relation into morsels and
+:func:`columnar_relation_from_batches` folds a stream back into a
+relation — and provides :class:`ColumnarRelation`, a Relation that
+*carries* its columns and only materializes row tuples on first access,
+so the SSJoin physical layer can emit ``(a_r, a_s, overlap, norm_r,
+norm_s)`` straight from the encoded merge without a tuple round-trip.
 
 Batch capacity defaults to :func:`default_batch_size`, derived from the
 cost model: the per-batch dispatch overhead (one pool-task unit,
@@ -27,7 +26,7 @@ which lands on 4096, inside the classic 4–16k morsel window.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -41,7 +40,6 @@ __all__ = [
     "default_batch_size",
     "iter_batches_from_columns",
     "iter_batches_from_rows",
-    "relation_from_batches",
     "stream_relation",
 ]
 
@@ -113,7 +111,7 @@ class Batch:
 
     @classmethod
     def from_rows(cls, schema: Schema, rows: Sequence[Tuple[Any, ...]]) -> "Batch":
-        """Transpose a row slice into columns (the row→batch adapter)."""
+        """Transpose a row slice into columns."""
         width = len(schema)
         if width == 0:
             return cls(schema, (), num_rows=len(rows))
@@ -131,7 +129,7 @@ class Batch:
         return self.columns[position]
 
     def to_rows(self) -> List[Tuple[Any, ...]]:
-        """Transpose back into row tuples (the batch→row adapter)."""
+        """Transpose back into row tuples."""
         if not self.columns:
             return [()] * self._num_rows
         if len(self.columns) == 1:
@@ -159,19 +157,24 @@ class BatchStream:
 
     The schema and name ride alongside the iterator so a stream of zero
     batches still folds back into a correctly-shaped empty relation.
+    *source* is the materialized relation the stream slices, when there
+    is one (see :func:`stream_relation`): folding such a stream just
+    returns it, so executing a leaf costs nothing.
     """
 
-    __slots__ = ("schema", "batches", "name")
+    __slots__ = ("schema", "batches", "name", "source")
 
     def __init__(
         self,
         schema: Schema,
         batches: Iterable[Batch],
         name: Optional[str] = None,
+        source: Optional[Relation] = None,
     ) -> None:
         self.schema = schema
         self.batches = batches
         self.name = name
+        self.source = source
 
     def __iter__(self) -> Iterator[Batch]:
         return iter(self.batches)
@@ -182,7 +185,7 @@ class ColumnarRelation(Relation):
 
     The SSJoin physical layer and the verify engine produce their output
     as five parallel lists; wrapping them here keeps the columnar form
-    available to the batch path (:attr:`columns`) while every row-protocol
+    available to the plan executor (:attr:`columns`) while every row
     consumer (``.rows``, iteration, ``__eq__``) still sees an ordinary
     Relation — the tuples are built once, on first access.
     """
@@ -270,6 +273,11 @@ def iter_batches_from_columns(
             yield Batch(schema, (), num_rows=min(batch_size, n - lo))
         return
     n = len(columns[0])
+    if n <= batch_size:
+        # One morsel holds everything: share the columns, never copy.
+        if n:
+            yield Batch(schema, columns)
+        return
     for lo in range(0, n, batch_size):
         yield Batch(schema, tuple(col[lo : lo + batch_size] for col in columns))
 
@@ -285,8 +293,8 @@ def stream_relation(relation: Relation, batch_size: int) -> BatchStream:
     """
     stored = getattr(relation, "iter_stored_batches", None)
     if stored is not None:
-        return BatchStream(relation.schema, stored(batch_size), relation.name)
-    if isinstance(relation, ColumnarRelation):
+        batches: Iterator[Batch] = stored(batch_size)
+    elif isinstance(relation, ColumnarRelation):
         batches = iter_batches_from_columns(
             relation.schema, relation.columns, batch_size, num_rows=len(relation)
         )
@@ -294,16 +302,15 @@ def stream_relation(relation: Relation, batch_size: int) -> BatchStream:
         batches = iter_batches_from_rows(
             relation.schema, relation.rows, batch_size
         )
-    return BatchStream(relation.schema, batches, relation.name)
+    return BatchStream(relation.schema, batches, relation.name, source=relation)
 
 
 def columnar_relation_from_batches(stream: BatchStream) -> "ColumnarRelation":
     """Fold a batch stream into a :class:`ColumnarRelation`.
 
     Batches are concatenated in arrival order, so the (lazily built) row
-    tuples come out exactly as the row protocol would order them. The
-    single-batch case — every result under one morsel — adopts the
-    batch's columns by reference.
+    tuples keep the stream's row order. The single-batch case — every
+    result under one morsel — adopts the batch's columns by reference.
     """
     it = iter(stream)
     first = next(it, None)
@@ -331,16 +338,3 @@ def columnar_relation_from_batches(stream: BatchStream) -> "ColumnarRelation":
 def _chain(head: Batch, rest: Iterator[Batch]) -> Iterator[Batch]:
     yield head
     yield from rest
-
-
-def relation_from_batches(stream: BatchStream) -> Relation:
-    """Fold a batch stream back into an immutable row relation.
-
-    This is the boundary adapter that keeps ``plan.execute(...)`` results
-    bit-identical with the row path: batches are transposed in arrival
-    order, so row order is exactly what the row protocol would produce.
-    """
-    rows: List[Tuple[Any, ...]] = []
-    for batch in stream:
-        rows.extend(batch.to_rows())
-    return Relation(stream.schema, rows, name=stream.name)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Union
 
+from repro.errors import PlanError
 from repro.relational.catalog import Catalog
 
 __all__ = ["ExecutionContext"]
@@ -54,11 +55,12 @@ class ExecutionContext:
         Run the static SSJoin invariant verifier (SSJ1xx rules) before
         executing any :class:`SSJoinNode` in the plan.
     batch_size:
-        Morsel capacity of the vectorized plan path. ``None`` (default)
-        resolves via :func:`repro.relational.batch.default_batch_size`
-        from the context's cost model; ``0`` disables batching and runs
-        the legacy row-at-a-time protocol; any positive int is used
-        verbatim (the equivalence tests sweep 1 / 7 / 4096).
+        Morsel capacity of the plan executor. ``None`` (default) resolves
+        via :func:`repro.relational.batch.default_batch_size` from the
+        context's cost model; any positive int is used verbatim (the
+        equivalence tests sweep 1 / 7 / 4096). It only sets how rows are
+        chunked, never the result. Anything else raises
+        :class:`~repro.errors.PlanError`.
     """
 
     def __init__(
@@ -79,6 +81,14 @@ class ExecutionContext:
         self.workers = workers
         self.encoding_cache = encoding_cache
         self.verify = verify
+        if batch_size is not None and (
+            not isinstance(batch_size, int)
+            or isinstance(batch_size, bool)
+            or batch_size <= 0
+        ):
+            raise PlanError(
+                f"batch_size must be a positive int or None, got {batch_size!r}"
+            )
         self.batch_size = batch_size
         self._resolved_batch_size: Optional[int] = None
 
@@ -92,14 +102,14 @@ class ExecutionContext:
         return self._metrics
 
     def resolved_batch_size(self) -> int:
-        """The effective morsel capacity: 0 means the row protocol.
+        """The effective morsel capacity, always positive.
 
         ``batch_size=None`` resolves once per context through the cost
         model (see :func:`repro.relational.batch.default_batch_size`)
-        and is cached, so per-node protocol dispatch stays cheap.
+        and is cached.
         """
         if self.batch_size is not None:
-            return max(0, int(self.batch_size))
+            return self.batch_size
         if self._resolved_batch_size is None:
             from repro.relational.batch import default_batch_size
 
@@ -120,7 +130,7 @@ class ExecutionContext:
             return context
         if context is None or isinstance(context, Catalog):
             return cls(catalog=context)
-        raise TypeError(
+        raise PlanError(
             f"cannot execute a plan against {context!r}; expected an "
             "ExecutionContext, a Catalog, or None"
         )

@@ -1,18 +1,24 @@
-"""Join algorithms: hash join, sort-merge join, nested-loop theta join.
+"""Equi-join kernels: build/probe hash, sort-merge and left outer.
 
-The SSJoin implementations in :mod:`repro.core` are all built from the
-equi-joins here (the paper's plans use only equi-joins plus grouping), while
-the nested-loop join exists to express the naive UDF-over-cross-product
-baseline the paper argues against.
+The SSJoin implementations in :mod:`repro.core` are all built from
+equi-joins plus grouping (the paper's plans use nothing else). Each
+kernel takes two :class:`~repro.relational.batch.BatchStream` inputs and
+returns the joined stream: both inputs accumulate into flat column
+arrays, matching produces two parallel *index vectors* (one per side,
+with repeats), and each output column is a single C-driven gather
+``[col[i] for i in idx]`` — no row tuples anywhere. :func:`hash_join` is
+the same hash kernel folded over two materialized relations, for the
+paper plans that work on whole relations.
 
 All equi-joins produce the concatenated schema, with *both* sides' columns
 prefixed when a prefix pair is supplied — mirroring how SQL disambiguates
-``R.B = S.B`` outputs.
+``R.B = S.B`` outputs. NULL keys never match (SQL semantics).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+import sys
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 #: A join-key spec: one column name, a list of names (same both sides),
 #: or a list of ``(left, right)`` pairs. Normalized by ``_resolve_keys``.
@@ -20,53 +26,21 @@ JoinKeys = Union[str, Sequence[Union[str, Tuple[str, str]]]]
 
 from repro.errors import PlanError
 from repro.relational.batch import (
-    Batch,
     BatchStream,
+    columnar_relation_from_batches,
     iter_batches_from_columns,
+    stream_relation,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 
 __all__ = [
     "hash_join",
-    "merge_join",
-    "nested_loop_join",
-    "left_outer_join",
-    "cross_product",
-    "semi_join",
     "joined_schema",
     "hash_join_stream",
     "merge_join_stream",
     "left_outer_join_stream",
-    "JoinCounters",
 ]
-
-
-class JoinCounters:
-    """Mutable counters a caller may pass to observe join effort.
-
-    Attributes
-    ----------
-    probes:
-        Number of probe-side rows processed.
-    output_rows:
-        Number of result rows emitted.
-    comparisons:
-        For nested-loop joins, number of predicate evaluations.
-    """
-
-    __slots__ = ("probes", "output_rows", "comparisons")
-
-    def __init__(self) -> None:
-        self.probes = 0
-        self.output_rows = 0
-        self.comparisons = 0
-
-    def __repr__(self) -> str:
-        return (
-            f"JoinCounters(probes={self.probes}, output_rows={self.output_rows}, "
-            f"comparisons={self.comparisons})"
-        )
 
 
 def _resolve_keys(keys: JoinKeys) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
@@ -92,34 +66,12 @@ def _resolve_keys(keys: JoinKeys) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
     return tuple(left), tuple(right)
 
 
-def _prefixed_pair(
-    left: Relation, right: Relation, prefixes: Optional[Tuple[str, str]]
-) -> Tuple[Relation, Relation]:
-    if prefixes is not None:
-        lp, rp = prefixes
-        return left.prefixed(lp), right.prefixed(rp)
-    # No prefixes: disambiguate clashing right-side names with _2/_3/...
-    taken = set(left.schema.names)
-    mapping = {}
-    for name in right.schema.names:
-        if name in taken:
-            n = 2
-            while f"{name}_{n}" in taken:
-                n += 1
-            mapping[name] = f"{name}_{n}"
-            taken.add(f"{name}_{n}")
-        else:
-            taken.add(name)
-    return left, (right.rename(mapping) if mapping else right)
-
-
 def joined_schema(
     left: Schema, right: Schema, prefixes: Optional[Tuple[str, str]]
 ) -> Schema:
     """The output schema every equi-join here produces: ``left ++ right``
     with both sides qualified when *prefixes* is given, clashing
-    right-side names ``_2``/``_3``-suffixed otherwise (the schema-level
-    twin of :func:`_prefixed_pair`)."""
+    right-side names ``_2``/``_3``-suffixed otherwise."""
     if prefixes is not None:
         lp, rp = prefixes
         return left.prefixed(lp).concat(right.prefixed(rp))
@@ -142,12 +94,12 @@ def hash_join(
     right: Relation,
     keys: JoinKeys,
     prefixes: Optional[Tuple[str, str]] = None,
-    counters: Optional[JoinCounters] = None,
 ) -> Relation:
-    """Classic build/probe hash equi-join.
+    """Build/probe hash equi-join of two materialized relations.
 
-    The smaller input is used as the build side; output column order is
-    nevertheless always ``left ++ right``.
+    A fold over :func:`hash_join_stream` with each input streamed as one
+    morsel: the smaller input builds, output columns are always
+    ``left ++ right``.
 
     Parameters
     ----------
@@ -158,216 +110,16 @@ def hash_join(
         Optional ``(left_prefix, right_prefix)``; when given, output columns
         are qualified, e.g. ``("R", "S")`` yields ``R.B`` / ``S.B``.
     """
-    lkeys, rkeys = _resolve_keys(keys)
-    lpos = left.schema.positions(lkeys)
-    rpos = right.schema.positions(rkeys)
-
-    build_is_left = len(left) <= len(right)
-    if build_is_left:
-        build, probe, bpos, ppos = left, right, lpos, rpos
-    else:
-        build, probe, bpos, ppos = right, left, rpos, lpos
-
-    table: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in build.rows:
-        key = tuple(row[p] for p in bpos)
-        if any(v is None for v in key):
-            continue  # SQL semantics: NULL never matches in an equi-join
-        table.setdefault(key, []).append(row)
-
-    out: List[Tuple[Any, ...]] = []
-    for row in probe.rows:
-        if counters is not None:
-            counters.probes += 1
-        key = tuple(row[p] for p in ppos)
-        if any(v is None for v in key):
-            continue
-        matches = table.get(key)
-        if not matches:
-            continue
-        if build_is_left:
-            out.extend(m + row for m in matches)
-        else:
-            out.extend(row + m for m in matches)
-    if counters is not None:
-        counters.output_rows += len(out)
-
-    lrel, rrel = _prefixed_pair(left, right, prefixes)
-    schema = lrel.schema.concat(rrel.schema)
-    return Relation(schema, out)
-
-
-def merge_join(
-    left: Relation,
-    right: Relation,
-    keys: JoinKeys,
-    prefixes: Optional[Tuple[str, str]] = None,
-    counters: Optional[JoinCounters] = None,
-) -> Relation:
-    """Sort-merge equi-join (sorts both inputs, then merges key groups).
-
-    Produces the same bag of rows as :func:`hash_join`; exists so the
-    optimizer has a genuine physical alternative and so tests can
-    cross-validate the two implementations against each other.
-    """
-    lkeys, rkeys = _resolve_keys(keys)
-    lpos = left.schema.positions(lkeys)
-    rpos = right.schema.positions(rkeys)
-
-    def sort_key(positions: Sequence[int]) -> Callable[[Sequence[Any]], Tuple[Any, ...]]:
-        return lambda row: tuple(row[p] for p in positions)
-
-    lrows = sorted(
-        (r for r in left.rows if not any(r[p] is None for p in lpos)), key=sort_key(lpos)
+    whole = sys.maxsize
+    return columnar_relation_from_batches(
+        hash_join_stream(
+            stream_relation(left, whole),
+            stream_relation(right, whole),
+            keys,
+            prefixes=prefixes,
+            batch_size=whole,
+        )
     )
-    rrows = sorted(
-        (r for r in right.rows if not any(r[p] is None for p in rpos)), key=sort_key(rpos)
-    )
-
-    out: List[Tuple[Any, ...]] = []
-    i = j = 0
-    nl, nr = len(lrows), len(rrows)
-    while i < nl and j < nr:
-        lk = tuple(lrows[i][p] for p in lpos)
-        rk = tuple(rrows[j][p] for p in rpos)
-        if lk < rk:
-            i += 1
-        elif lk > rk:
-            j += 1
-        else:
-            # Gather the full key group on both sides, emit their product.
-            i2 = i
-            while i2 < nl and tuple(lrows[i2][p] for p in lpos) == lk:
-                i2 += 1
-            j2 = j
-            while j2 < nr and tuple(rrows[j2][p] for p in rpos) == rk:
-                j2 += 1
-            for a in range(i, i2):
-                if counters is not None:
-                    counters.probes += 1
-                la = lrows[a]
-                out.extend(la + rrows[b] for b in range(j, j2))
-            i, j = i2, j2
-    if counters is not None:
-        counters.output_rows += len(out)
-
-    lrel, rrel = _prefixed_pair(left, right, prefixes)
-    schema = lrel.schema.concat(rrel.schema)
-    return Relation(schema, out)
-
-
-def nested_loop_join(
-    left: Relation,
-    right: Relation,
-    predicate: Callable[[Tuple[Any, ...], Tuple[Any, ...]], bool],
-    prefixes: Optional[Tuple[str, str]] = None,
-    counters: Optional[JoinCounters] = None,
-) -> Relation:
-    """θ-join by exhaustive pairing — the "cross product + UDF" plan.
-
-    *predicate* receives the raw left and right row tuples. This is the plan
-    shape the paper says a database is forced into when the similarity
-    function is an opaque UDF; it exists as the correctness oracle and the
-    worst-case baseline.
-    """
-    out: List[Tuple[Any, ...]] = []
-    for lrow in left.rows:
-        for rrow in right.rows:
-            if counters is not None:
-                counters.comparisons += 1
-            if predicate(lrow, rrow):
-                out.append(lrow + rrow)
-    if counters is not None:
-        counters.output_rows += len(out)
-
-    lrel, rrel = _prefixed_pair(left, right, prefixes)
-    schema = lrel.schema.concat(rrel.schema)
-    return Relation(schema, out)
-
-
-def left_outer_join(
-    left: Relation,
-    right: Relation,
-    keys: JoinKeys,
-    prefixes: Optional[Tuple[str, str]] = None,
-    counters: Optional[JoinCounters] = None,
-) -> Relation:
-    """Hash-based LEFT OUTER equi-join.
-
-    Left rows without a match are emitted once, padded with NULLs on the
-    right. NULL keys never match (as in the inner joins) but the carrying
-    left row still survives, per SQL outer-join semantics.
-    """
-    lkeys, rkeys = _resolve_keys(keys)
-    lpos = left.schema.positions(lkeys)
-    rpos = right.schema.positions(rkeys)
-
-    table: Dict[Tuple[Any, ...], List[Tuple[Any, ...]]] = {}
-    for row in right.rows:
-        key = tuple(row[p] for p in rpos)
-        if any(v is None for v in key):
-            continue
-        table.setdefault(key, []).append(row)
-
-    padding = (None,) * len(right.schema)
-    out: List[Tuple[Any, ...]] = []
-    for row in left.rows:
-        if counters is not None:
-            counters.probes += 1
-        key = tuple(row[p] for p in lpos)
-        matches = None if any(v is None for v in key) else table.get(key)
-        if matches:
-            out.extend(row + m for m in matches)
-        else:
-            out.append(row + padding)
-    if counters is not None:
-        counters.output_rows += len(out)
-
-    lrel, rrel = _prefixed_pair(left, right, prefixes)
-    schema = lrel.schema.concat(rrel.schema)
-    return Relation(schema, out)
-
-
-def cross_product(
-    left: Relation,
-    right: Relation,
-    prefixes: Optional[Tuple[str, str]] = None,
-) -> Relation:
-    """Unconditional Cartesian product."""
-    return nested_loop_join(left, right, lambda a, b: True, prefixes=prefixes)
-
-
-def semi_join(
-    left: Relation,
-    right: Relation,
-    keys: JoinKeys,
-) -> Relation:
-    """Left semi-join: left rows having at least one key match in right."""
-    lkeys, rkeys = _resolve_keys(keys)
-    lpos = left.schema.positions(lkeys)
-    rpos = right.schema.positions(rkeys)
-    present = set()
-    for row in right.rows:
-        key = tuple(row[p] for p in rpos)
-        if not any(v is None for v in key):
-            present.add(key)
-    kept = [
-        row
-        for row in left.rows
-        if tuple(row[p] for p in lpos) in present
-    ]
-    return Relation(left.schema, kept, name=left.name)
-
-
-# -- vectorized (batch-stream) join kernels ------------------------------------
-#
-# The equi-joins above, re-expressed over columns: both inputs accumulate
-# into flat column arrays, matching produces two parallel *index vectors*
-# (one per side, with repeats), and each output column is a single
-# C-driven gather ``[col[i] for i in idx]`` — no row tuples anywhere.
-# Emission order replicates the row kernels exactly (probe-major with
-# build-insertion-ordered matches for hash, sorted key-group products for
-# merge), so folding the stream yields bit-identical relations.
 
 
 def _collect_columns(stream: BatchStream) -> Tuple[List[List[Any]], int]:
@@ -396,11 +148,13 @@ def hash_join_stream(
     prefixes: Optional[Tuple[str, str]] = None,
     batch_size: int = 4096,
 ) -> BatchStream:
-    """Vectorized build/probe hash equi-join (see :func:`hash_join`).
+    """Vectorized build/probe hash equi-join.
 
-    The smaller accumulated side builds a key → row-index table; probing
-    appends to two flat index vectors, and the output columns are gathered
-    per side in one pass each, then sliced into morsels.
+    The smaller accumulated side (the left one on a tie) builds a key →
+    row-index table; probing appends to two flat index vectors, and the
+    output columns are gathered per side in one pass each, then sliced
+    into morsels. Output is probe-major, each probe row meeting its build
+    matches in build-input order.
     """
     lkeys, rkeys = _resolve_keys(keys)
     lpos = left.schema.positions(lkeys)
@@ -461,12 +215,12 @@ def merge_join_stream(
     prefixes: Optional[Tuple[str, str]] = None,
     batch_size: int = 4096,
 ) -> BatchStream:
-    """Vectorized sort-merge equi-join (see :func:`merge_join`).
+    """Vectorized sort-merge equi-join.
 
-    Each side argsorts the NULL-filtered row indices by key (stable, so
-    the permutation matches the row kernel's ``sorted``), the merge walks
-    key groups emitting index-vector cross products, and output columns
-    are gathered per side.
+    Each side argsorts the NULL-filtered row indices by key (stable), the
+    merge walks key groups in ascending order emitting index-vector cross
+    products (left-major within a group), and output columns are gathered
+    per side. Produces the same bag of rows as :func:`hash_join_stream`.
     """
     lkeys, rkeys = _resolve_keys(keys)
     lpos = left.schema.positions(lkeys)
@@ -529,9 +283,11 @@ def left_outer_join_stream(
     prefixes: Optional[Tuple[str, str]] = None,
     batch_size: int = 4096,
 ) -> BatchStream:
-    """Vectorized LEFT OUTER equi-join (see :func:`left_outer_join`).
+    """Vectorized LEFT OUTER equi-join.
 
-    The right side always builds (as in the row kernel); the left side
+    Left rows without a match are emitted once, padded with NULLs on the
+    right; a NULL key never matches but its left row still survives, per
+    SQL outer-join semantics. The right side always builds; the left side
     then **streams** — each left morsel produces its own index vectors
     (build index ``-1`` marking the NULL pad) and is emitted before the
     next is pulled.

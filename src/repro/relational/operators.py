@@ -1,32 +1,26 @@
-"""Expression-driven unary relational operators.
+"""Expression-driven unary operator kernels over morsel streams.
 
-:class:`~repro.relational.relation.Relation` has thin callable-based methods;
-this module provides the expression-language counterparts used by plans,
-plus a handful of operators (limit, sample, value counts) that the Relation
-methods do not cover.
+Every kernel here takes a :class:`~repro.relational.batch.BatchStream`
+and returns one: σ, π, Extend, δ, ORDER BY and LIMIT, as the plan nodes
+in :mod:`repro.relational.plan` run them. Expressions are bound once
+against the stream schema (outside the generators), so unknown-column
+errors surface when the plan is built into a stream, before any morsel
+flows; each generator then touches whole columns per batch.
+:class:`~repro.relational.relation.Relation` keeps its own thin
+callable-based methods for code that works on materialized relations.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Iterator, List, Sequence
 
 from repro.errors import PlanError
 from repro.relational.batch import Batch, BatchStream
 from repro.relational.expressions import Expr
-from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
 
 __all__ = [
-    "select",
-    "project",
-    "extend",
-    "distinct",
-    "order_by",
     "split_order_key",
-    "limit",
-    "union_all",
-    "value_counts",
     "select_stream",
     "project_stream",
     "extend_stream",
@@ -34,66 +28,6 @@ __all__ = [
     "order_by_stream",
     "limit_stream",
 ]
-
-
-def select(relation: Relation, predicate: Expr) -> Relation:
-    """σ — keep rows where the boolean expression *predicate* holds."""
-    fn = predicate.bind(relation.schema)
-    return Relation(relation.schema, [r for r in relation.rows if fn(r)], name=relation.name)
-
-
-def project(
-    relation: Relation,
-    columns: Sequence,
-) -> Relation:
-    """π — bag projection.
-
-    Each item of *columns* is either a plain column name (pass-through) or a
-    ``(new_name, Expr)`` pair computing a derived column.
-    """
-    if columns and all(isinstance(item, str) for item in columns):
-        # Pure column selection — one C-level itemgetter per row instead
-        # of a per-column closure chain (the joins layer projects every
-        # result row through here).
-        positions = [relation.schema.position(item) for item in columns]
-        schema = Schema([Column(n) for n in columns])
-        if len(positions) == 1:
-            single = operator.itemgetter(positions[0])
-            rows = [(single(row),) for row in relation.rows]
-        else:
-            getter = operator.itemgetter(*positions)
-            rows = [getter(row) for row in relation.rows]
-        return Relation(schema, rows, name=relation.name)
-    names: List[str] = []
-    fns = []
-    for item in columns:
-        if isinstance(item, str):
-            pos = relation.schema.position(item)
-            names.append(item)
-            fns.append(lambda row, p=pos: row[p])
-        elif isinstance(item, tuple) and len(item) == 2 and isinstance(item[1], Expr):
-            name, expr = item
-            names.append(name)
-            fns.append(expr.bind(relation.schema))
-        else:
-            raise PlanError(f"cannot interpret projection item {item!r}")
-    schema = Schema([Column(n) for n in names])
-    rows = [tuple(fn(row) for fn in fns) for row in relation.rows]
-    return Relation(schema, rows, name=relation.name)
-
-
-def extend(relation: Relation, column: str, expr: Expr) -> Relation:
-    """Append a derived column computed by *expr*."""
-    fn = expr.bind(relation.schema)
-    schema = relation.schema.extend([Column(column)])
-    rows = [row + (fn(row),) for row in relation.rows]
-    return Relation(schema, rows, name=relation.name)
-
-
-def distinct(relation: Relation, columns: Optional[Sequence[str]] = None) -> Relation:
-    """δ — duplicate elimination, optionally after projecting to *columns*."""
-    target = relation if columns is None else relation.project(list(columns))
-    return target.distinct()
 
 
 def split_order_key(key: Any) -> "tuple[Any, bool]":
@@ -107,53 +41,6 @@ def split_order_key(key: Any) -> "tuple[Any, bool]":
         return key, False
     target, direction = key
     return target, str(direction).lower() in ("desc", "descending")
-
-
-def order_by(
-    relation: Relation,
-    keys: Sequence,
-) -> Relation:
-    """Sort by a sequence of ``column``/``Expr`` or ``(key, "desc")`` keys.
-
-    Implemented as a stable multi-pass sort (last key first) so mixed
-    ascending/descending orderings are supported without comparator tricks.
-    """
-    rows = list(relation.rows)
-    for key in reversed(list(keys)):
-        target, descending = split_order_key(key)
-        if isinstance(target, Expr):
-            fn = target.bind(relation.schema)
-        else:
-            pos = relation.schema.position(target)
-            fn = lambda row, p=pos: row[p]  # noqa: E731
-        rows.sort(key=fn, reverse=descending)
-    return Relation(relation.schema, rows, name=relation.name)
-
-
-def limit(relation: Relation, n: int) -> Relation:
-    """Keep the first *n* rows."""
-    if n < 0:
-        raise PlanError(f"limit must be non-negative, got {n}")
-    return Relation(relation.schema, relation.rows[:n], name=relation.name)
-
-
-def union_all(*relations: Relation) -> Relation:
-    """Bag union of any number of union-compatible relations."""
-    if not relations:
-        raise PlanError("union_all requires at least one relation")
-    out = relations[0]
-    for rel in relations[1:]:
-        out = out.union_all(rel)
-    return out
-
-
-# -- vectorized (batch-stream) kernels ----------------------------------------
-#
-# These are the morsel-at-a-time counterparts of the row operators above,
-# used by the batch protocol in :mod:`repro.relational.plan`. Expressions
-# are bound once against the stream schema (outside the generators), so
-# unknown-column errors surface at the same point as the row path; each
-# generator then touches whole columns per batch.
 
 
 def select_stream(stream: BatchStream, predicate: Expr) -> BatchStream:
@@ -272,7 +159,8 @@ def distinct_stream(stream: BatchStream) -> BatchStream:
 
     Each morsel contributes a selection vector of first occurrences; a
     batch with no duplicates passes through by reference, a batch of pure
-    repeats is dropped. First-seen order matches ``Relation.distinct``.
+    repeats is dropped. Output keeps first-seen order, as
+    ``Relation.distinct`` does.
     """
     schema = stream.schema
 
@@ -311,9 +199,9 @@ def order_by_stream(
     """Vectorized sort: accumulate columns, argsort an index array once
     per key (stable, last key first), emit morsels of the permutation.
 
-    The index sort reads each key column through ``list.__getitem__`` —
-    the same per-row key values the row path sorts by, so the resulting
-    permutation (and thus the output order) is bit-identical.
+    The index sort reads each key column through ``list.__getitem__``,
+    so the permutation is exactly that of a stable multi-pass sort of
+    the rows themselves, last key first.
     """
     schema = stream.schema
     getters = []
@@ -349,13 +237,3 @@ def order_by_stream(
             yield Batch(schema, tuple([c[i] for i in sel] for c in columns))
 
     return BatchStream(schema, gen(), stream.name)
-
-
-def value_counts(relation: Relation, column: str) -> Dict[Any, int]:
-    """Frequency of each distinct value in *column* (helper for stats/IDF)."""
-    pos = relation.schema.position(column)
-    counts: Dict[Any, int] = {}
-    for row in relation.rows:
-        v = row[pos]
-        counts[v] = counts.get(v, 0) + 1
-    return counts

@@ -19,11 +19,11 @@ execution time, chosen by the cost model over
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import PlanError
 from repro.relational import operators
-from repro.relational.aggregates import Aggregate, group_by, group_by_stream
+from repro.relational.aggregates import Aggregate, group_by_stream
 from repro.relational.batch import (
     Batch,
     BatchStream,
@@ -33,15 +33,11 @@ from repro.relational.batch import (
 from repro.relational.catalog import Catalog
 from repro.relational.context import ExecutionContext
 from repro.relational.expressions import Expr
-from repro.relational.groupwise import groupwise_apply
 from repro.relational.joins import (
-    hash_join,
     hash_join_stream,
-    left_outer_join,
+    joined_schema,
     left_outer_join_stream,
-    merge_join,
     merge_join_stream,
-    nested_loop_join,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Column, Schema
@@ -62,10 +58,7 @@ __all__ = [
     "HashJoin",
     "MergeJoin",
     "LeftOuterJoin",
-    "NestedLoopJoin",
     "GroupBy",
-    "Groupwise",
-    "Custom",
     "explain",
 ]
 
@@ -93,52 +86,18 @@ def _tolerant_schema(columns: Sequence[Column]) -> Schema:
 def _disambiguated_join_schema(
     left: Schema, right: Schema, prefixes: Optional[Tuple[str, str]]
 ) -> Schema:
-    """Static mirror of the equi-join output schema.
+    """Static mirror of :func:`repro.relational.joins.joined_schema`.
 
-    Replicates :func:`repro.relational.joins._prefixed_pair`: with
-    *prefixes* both sides are qualified; without, clashing right-side
-    names get ``_2``/``_3``... suffixes.
+    With *prefixes* both sides are qualified (duplicates tolerated, see
+    :func:`_tolerant_schema`); without, clashing right-side names get
+    ``_2``/``_3``... suffixes.
     """
     if prefixes is not None:
         lp, rp = prefixes
         return _tolerant_schema(
             list(left.prefixed(lp).columns) + list(right.prefixed(rp).columns)
         )
-    taken = set(left.names)
-    cols: List[Column] = list(left.columns)
-    for col in right.columns:
-        name = col.name
-        if name in taken:
-            n = 2
-            while f"{name}_{n}" in taken:
-                n += 1
-            name = f"{name}_{n}"
-        taken.add(name)
-        cols.append(col.renamed(name))
-    return Schema(cols)
-
-
-def _probed_schema(
-    fn: Callable[[Relation], Relation], child: Optional[Schema]
-) -> Optional[Schema]:
-    """Infer an opaque transformer's output schema by probing it.
-
-    Applies *fn* to an **empty** relation carrying the child schema and
-    reads the schema of what comes back. For the common schema-preserving
-    subqueries (filter, truncate, sort) this returns the child schema
-    exactly; for projecting transformers it returns the projected schema.
-    Any exception (the transformer needs rows to make sense) degrades to
-    ``None`` — unknown, never wrong.
-    """
-    if child is None:
-        return None
-    try:
-        probed = fn(Relation(child, ()))
-    except Exception:
-        return None
-    if isinstance(probed, Relation):
-        return probed.schema
-    return None
+    return joined_schema(left, right, None)
 
 
 class PlanNode:
@@ -147,78 +106,44 @@ class PlanNode:
     Execution is context-threaded: :meth:`execute` accepts an
     :class:`~repro.relational.context.ExecutionContext`, a bare
     :class:`Catalog` (wrapped on the fly — the historical call shape), or
-    ``None``, normalizes it, and dispatches to the node's :meth:`_run`.
-    One context flows through the whole tree, so an SSJoin node deep in a
-    plan shares the same metrics, cost model, caches and worker pool as
-    its siblings.
+    ``None``, and normalizes it. One context flows through the whole
+    tree, so an SSJoin node deep in a plan shares the same metrics, cost
+    model, caches and worker pool as its siblings.
+
+    **One execution protocol.** Every node implements :meth:`batches`,
+    which streams its result as columnar
+    :class:`~repro.relational.batch.Batch` morsels pulled from its
+    children's streams; :meth:`execute` folds the root's stream into a
+    relation. Leaves stream the relation they wrap, and folding a stream
+    that merely slices a materialized relation returns that relation
+    itself. The morsel capacity comes from
+    :meth:`ExecutionContext.resolved_batch_size`; it changes how rows are
+    chunked, never which rows come out or in what order.
 
     Besides execution, every node participates in **static schema
     propagation**: :meth:`output_schema` computes the schema this node
     would produce from its children's schemas *without executing
-    anything*. Nodes wrapping opaque callables (:class:`Custom`,
-    :class:`Groupwise`) probe the callable against an empty input to
-    recover the schema (see :func:`_probed_schema`); a declared schema
-    always wins, and probing failures degrade to ``None`` — the plan
-    verifier (:mod:`repro.analysis.plan_verifier`) degrades gracefully on
-    unknown subtrees and checks everything else.
-
-    **Execution protocols.** Since the Layer-8 refactor every node speaks
-    one of two protocols, declared by :attr:`batch_protocol`. ``"batch"``
-    nodes have a vectorized kernel: :meth:`batches` streams columnar
-    :class:`~repro.relational.batch.Batch` morsels and never builds row
-    tuples. ``"row"`` nodes keep their tuple-at-a-time :meth:`_run` and
-    are bridged automatically — the base :meth:`batches` is the boundary
-    adapter (run the row kernel, chop the result into morsels), and a row
-    node executing a ``"batch"`` child re-enters the batch path through
-    ``child.execute``. The morsel capacity comes from
-    :meth:`ExecutionContext.resolved_batch_size`; ``batch_size=0``
-    disables the batch path entirely. Results are bit-identical between
-    the two protocols (the SSJ113 analysis rule audits that every
-    ``"batch"`` declaration is backed by a real kernel).
+    anything*. Unknown subtrees degrade to ``None`` — the plan verifier
+    (:mod:`repro.analysis.plan_verifier`) degrades gracefully on them and
+    checks everything else.
     """
 
     #: Child nodes, in order. Populated by subclasses.
     children: Tuple["PlanNode", ...] = ()
-
-    #: Which protocol this node's kernels speak natively: ``"batch"``
-    #: nodes override :meth:`batches`; ``"row"`` nodes are bridged by the
-    #: base boundary adapter.
-    batch_protocol: str = "row"
 
     def execute(
         self, context: Union[ExecutionContext, Catalog, None] = None
     ) -> Relation:
         """Evaluate this subtree against *context* and return its result."""
         ctx = ExecutionContext.of(context)
-        size = ctx.resolved_batch_size()
-        if size > 0:
-            return self._run_batched(ctx, size)
-        return self._run(ctx)
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        """Node-specific evaluation against a normalized context."""
-        raise NotImplementedError
-
-    def _run_batched(self, ctx: ExecutionContext, size: int) -> Relation:
-        """Evaluate under the batch protocol.
-
-        The default runs the row kernel — vectorized children still
-        engage, because row kernels execute children via
-        ``child.execute(ctx)`` which re-enters the batch path. Nodes with
-        a vectorized kernel override this to fold their morsel stream
-        into a lazily-rowed ColumnarRelation.
-        """
-        return self._run(ctx)
+        stream = self.batches(ctx, ctx.resolved_batch_size())
+        if stream.source is not None:
+            return stream.source
+        return columnar_relation_from_batches(stream)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
-        """Stream this subtree's result as columnar morsels.
-
-        This base implementation is the **boundary adapter**: it runs the
-        node's row kernel and chops the materialized relation into
-        batches, which is what keeps row-protocol operators (sorts,
-        groupings, joins) composable inside a batched plan.
-        """
-        return stream_relation(self._run(ctx), size)
+        """Stream this subtree's result as morsels of at most *size* rows."""
+        raise PlanError(f"{type(self).__name__} implements no batches() kernel")
 
     def label(self) -> str:
         """One-line description used by :func:`explain`."""
@@ -229,14 +154,12 @@ class PlanNode:
         return self._batch_annotation(context)
 
     def _batch_annotation(self, context: ExecutionContext) -> Tuple[str, ...]:
-        """The per-node EXPLAIN line describing its execution protocol."""
+        """The per-node EXPLAIN line describing its batch kernel."""
         size = context.resolved_batch_size()
-        if size <= 0:
-            return ()
         return (f"batch: {self._batch_note()}, morsel={size}",)
 
     def _batch_note(self) -> str:
-        return "row (boundary adapter)"
+        return "vectorized"
 
     def output_schema(self, catalog: Optional[Catalog] = None) -> Optional[Schema]:
         """The statically-known output schema, or ``None`` if unknowable.
@@ -253,32 +176,14 @@ class PlanNode:
         return self.children[index].output_schema(catalog)
 
 
-class _VectorizedNode(PlanNode):
-    """Base of nodes with a native columnar kernel.
-
-    Subclasses override :meth:`PlanNode.batches` with a real vectorized
-    kernel; executing one standalone folds the morsel stream into a
-    :class:`~repro.relational.batch.ColumnarRelation` (row tuples built
-    lazily, only if a consumer asks for them).
-    """
-
-    batch_protocol = "batch"
-
-    def _run_batched(self, ctx: ExecutionContext, size: int) -> Relation:
-        return columnar_relation_from_batches(self.batches(ctx, size))
-
-    def _batch_note(self) -> str:
-        return "vectorized"
-
-
 class TableScan(PlanNode):
     """Leaf: read a named table from the catalog."""
 
     def __init__(self, table: str) -> None:
         self.table = table
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return ctx.catalog.get(self.table)
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
+        return stream_relation(ctx.catalog.get(self.table), size)
 
     def label(self) -> str:
         return f"Scan({self.table})"
@@ -299,8 +204,8 @@ class MaterializedInput(PlanNode):
         self.relation = relation
         self._label = label_text
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.relation
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
+        return stream_relation(self.relation, size)
 
     def label(self) -> str:
         return f"Materialized({self._label}, rows={len(self.relation)})"
@@ -327,8 +232,8 @@ class PreparedInput(PlanNode):
         self.prepared = prepared
         self._label = label_text if label_text is not None else prepared.name
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.prepared.relation
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
+        return stream_relation(self.prepared.relation, size)
 
     def label(self) -> str:
         return (
@@ -378,21 +283,16 @@ class SSJoinNode(PlanNode):
         #: SSJoinResult of the most recent execution (None before any).
         self.last_result: Any = None
 
-    batch_protocol = "batch"
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
+    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         # Imported here: repro.core layers above repro.relational.
         from repro.core.physical import execute_ssjoin_node
 
         result = execute_ssjoin_node(self, ctx)
         self.last_result = result
-        return result.pairs
-
-    def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         # The physical layer emits its pairs as a ColumnarRelation (five
         # parallel lists straight from the encoded merge), so feeding a
         # vectorized parent is pure column slicing — no tuple round-trip.
-        return stream_relation(self._run(ctx), size)
+        return stream_relation(result.pairs, size)
 
     def resolve_sides(self, ctx: ExecutionContext) -> Tuple[Any, Any]:
         """Materialize both children as PreparedRelations.
@@ -461,15 +361,12 @@ class SSJoinNode(PlanNode):
         return SSJOIN_RESULT_SCHEMA
 
 
-class Select(_VectorizedNode):
+class Select(PlanNode):
     """σ over a boolean expression."""
 
     def __init__(self, child: PlanNode, predicate: Expr) -> None:
         self.children = (child,)
         self.predicate = predicate
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.select(self.children[0].execute(ctx), self.predicate)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.select_stream(
@@ -483,20 +380,17 @@ class Select(_VectorizedNode):
         return self._child_schema(catalog)
 
 
-class Project(_VectorizedNode):
+class Project(PlanNode):
     """π over plain names or ``(name, Expr)`` derived columns."""
 
     def __init__(self, child: PlanNode, columns: Sequence) -> None:
         self.children = (child,)
         self.columns = list(columns)
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.project(self.children[0].execute(ctx), self.columns)
-
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
-        # Zero-column projections stay columnar too: empty-schema batches
-        # carry an explicit row count (see Batch.num_rows), so
-        # COUNT(*)-shaped plans never drop to the row protocol.
+        # Zero-column projections keep their cardinality: empty-schema
+        # batches carry an explicit row count (see Batch.num_rows), which
+        # is what COUNT(*)-shaped plans aggregate over.
         pushed = self._pushdown_stream(ctx, size)
         if pushed is not None:
             return pushed
@@ -546,16 +440,13 @@ class Project(_VectorizedNode):
         return _tolerant_schema(cols)
 
 
-class Extend(_VectorizedNode):
+class Extend(PlanNode):
     """Append one derived column."""
 
     def __init__(self, child: PlanNode, column: str, expr: Expr) -> None:
         self.children = (child,)
         self.column = column
         self.expr = expr
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.extend(self.children[0].execute(ctx), self.column, self.expr)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.extend_stream(
@@ -572,7 +463,7 @@ class Extend(_VectorizedNode):
         return _tolerant_schema(list(child.columns) + [Column(self.column)])
 
 
-class Rename(_VectorizedNode):
+class Rename(PlanNode):
     """Qualify every column with a table alias (``x`` → ``alias.x``).
 
     A schema-only rewrite: the batch kernel re-tags each morsel with the
@@ -584,9 +475,6 @@ class Rename(_VectorizedNode):
     def __init__(self, child: PlanNode, prefix: str) -> None:
         self.children = (child,)
         self.prefix = prefix
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.children[0].execute(ctx).prefixed(self.prefix)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         stream = self.children[0].batches(ctx, size)
@@ -611,14 +499,11 @@ class Rename(_VectorizedNode):
         return child.prefixed(self.prefix)
 
 
-class Distinct(_VectorizedNode):
+class Distinct(PlanNode):
     """δ duplicate elimination."""
 
     def __init__(self, child: PlanNode) -> None:
         self.children = (child,)
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.children[0].execute(ctx).distinct()
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.distinct_stream(self.children[0].batches(ctx, size))
@@ -630,15 +515,12 @@ class Distinct(_VectorizedNode):
         return self._child_schema(catalog)
 
 
-class OrderBy(_VectorizedNode):
+class OrderBy(PlanNode):
     """Sort by keys (see :func:`repro.relational.operators.order_by`)."""
 
     def __init__(self, child: PlanNode, keys: Sequence) -> None:
         self.children = (child,)
         self.keys = list(keys)
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.order_by(self.children[0].execute(ctx), self.keys)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.order_by_stream(
@@ -660,15 +542,12 @@ class OrderBy(_VectorizedNode):
         return self._child_schema(catalog)
 
 
-class Limit(_VectorizedNode):
+class Limit(PlanNode):
     """Keep the first *n* rows."""
 
     def __init__(self, child: PlanNode, n: int) -> None:
         self.children = (child,)
         self.n = n
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return operators.limit(self.children[0].execute(ctx), self.n)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return operators.limit_stream(self.children[0].batches(ctx, size), self.n)
@@ -680,7 +559,7 @@ class Limit(_VectorizedNode):
         return self._child_schema(catalog)
 
 
-class _JoinBase(_VectorizedNode):
+class _JoinBase(PlanNode):
     def __init__(
         self,
         left: PlanNode,
@@ -714,11 +593,6 @@ class _JoinBase(_VectorizedNode):
 class HashJoin(_JoinBase):
     """Equi-join executed by build/probe hashing."""
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        left = self.children[0].execute(ctx)
-        right = self.children[1].execute(ctx)
-        return hash_join(left, right, self.keys, prefixes=self.prefixes)
-
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         left, right = self._child_streams(ctx, size)
         return hash_join_stream(
@@ -731,11 +605,6 @@ class HashJoin(_JoinBase):
 
 class MergeJoin(_JoinBase):
     """Equi-join executed by sort-merge."""
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        left = self.children[0].execute(ctx)
-        right = self.children[1].execute(ctx)
-        return merge_join(left, right, self.keys, prefixes=self.prefixes)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         left, right = self._child_streams(ctx, size)
@@ -750,11 +619,6 @@ class MergeJoin(_JoinBase):
 class LeftOuterJoin(_JoinBase):
     """LEFT OUTER equi-join (unmatched left rows survive, NULL-padded)."""
 
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        left = self.children[0].execute(ctx)
-        right = self.children[1].execute(ctx)
-        return left_outer_join(left, right, self.keys, prefixes=self.prefixes)
-
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         left, right = self._child_streams(ctx, size)
         return left_outer_join_stream(
@@ -765,39 +629,7 @@ class LeftOuterJoin(_JoinBase):
         return "vectorized build/probe (outer)"
 
 
-class NestedLoopJoin(PlanNode):
-    """θ-join over an arbitrary row-pair predicate (the UDF plan)."""
-
-    def __init__(
-        self,
-        left: PlanNode,
-        right: PlanNode,
-        predicate: Callable[[Tuple[Any, ...], Tuple[Any, ...]], bool],
-        prefixes: Optional[Tuple[str, str]] = None,
-        description: str = "udf",
-    ) -> None:
-        self.children = (left, right)
-        self.predicate = predicate
-        self.prefixes = prefixes
-        self.description = description
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        left = self.children[0].execute(ctx)
-        right = self.children[1].execute(ctx)
-        return nested_loop_join(left, right, self.predicate, prefixes=self.prefixes)
-
-    def label(self) -> str:
-        return f"NestedLoopJoin({self.description})"
-
-    def output_schema(self, catalog: Optional[Catalog] = None) -> Optional[Schema]:
-        left = self._child_schema(catalog, 0)
-        right = self._child_schema(catalog, 1)
-        if left is None or right is None:
-            return None
-        return _disambiguated_join_schema(left, right, self.prefixes)
-
-
-class GroupBy(_VectorizedNode):
+class GroupBy(PlanNode):
     """γ with aggregates and optional HAVING."""
 
     def __init__(
@@ -811,10 +643,6 @@ class GroupBy(_VectorizedNode):
         self.keys = list(keys)
         self.aggregates = list(aggregates)
         self.having = having
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        child = self.children[0].execute(ctx)
-        return group_by(child, self.keys, self.aggregates, having=self.having)
 
     def batches(self, ctx: ExecutionContext, size: int) -> BatchStream:
         return group_by_stream(
@@ -843,71 +671,6 @@ class GroupBy(_VectorizedNode):
             child.column(k) if k in child else Column(k) for k in self.keys
         ] + [Column(a.name) for a in self.aggregates]
         return _tolerant_schema(cols)
-
-
-class Groupwise(PlanNode):
-    """Groupwise-processing operator: per-group subquery application."""
-
-    def __init__(
-        self,
-        child: PlanNode,
-        keys: Sequence[str],
-        subquery: Callable[[Relation], Relation],
-        description: str = "subquery",
-        declares: Optional[Schema] = None,
-    ) -> None:
-        self.children = (child,)
-        self.keys = list(keys)
-        self.subquery = subquery
-        self.description = description
-        self.declares = declares
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        child = self.children[0].execute(ctx)
-        return groupwise_apply(child, self.keys, self.subquery)
-
-    def label(self) -> str:
-        return f"Groupwise(keys={self.keys}, subquery={self.description})"
-
-    def output_schema(self, catalog: Optional[Catalog] = None) -> Optional[Schema]:
-        if self.declares is not None:
-            return self.declares
-        # Undeclared subqueries are probed against an empty group: the
-        # schema-preserving common case (filter/truncate/sort) and plain
-        # projections both resolve, so PV1xx propagation no longer goes
-        # blind below this node; exotic subqueries degrade to None.
-        return _probed_schema(self.subquery, self._child_schema(catalog))
-
-
-class Custom(PlanNode):
-    """Escape hatch: wrap an arbitrary relation transformer as a node.
-
-    SSJoin implementations use this for steps (like prefix extraction with
-    carried state) that compose several primitive operators.
-    """
-
-    def __init__(
-        self,
-        child: PlanNode,
-        fn: Callable[[Relation], Relation],
-        description: str,
-        declares: Optional[Schema] = None,
-    ) -> None:
-        self.children = (child,)
-        self.fn = fn
-        self.description = description
-        self.declares = declares
-
-    def _run(self, ctx: ExecutionContext) -> Relation:
-        return self.fn(self.children[0].execute(ctx))
-
-    def label(self) -> str:
-        return f"Custom({self.description})"
-
-    def output_schema(self, catalog: Optional[Catalog] = None) -> Optional[Schema]:
-        if self.declares is not None:
-            return self.declares
-        return _probed_schema(self.fn, self._child_schema(catalog))
 
 
 def explain(

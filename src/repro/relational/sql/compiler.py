@@ -585,9 +585,8 @@ def compile_statement(
 ) -> Callable[[], Relation]:
     """Compile *statement* into an executable closure ``() -> Relation``.
 
-    *batch_size* configures the morsel size for the plan's batch
-    protocol (``None`` = cost model default, ``0`` = legacy
-    row-at-a-time); it applies to SSJOIN and plain statements alike.
+    *batch_size* sets the plan's morsel size (``None`` = cost model
+    default); it applies to SSJOIN and plain statements alike.
     """
     if statement.ssjoins:
         plan = compile_ssjoin_plan(statement, catalog)
@@ -732,8 +731,7 @@ def execute_sql(
     diagnostics — :class:`repro.errors.AnalysisError` — before anything
     executes.  *batch_size* is forwarded to the plan path's
     :class:`~repro.relational.context.ExecutionContext` (``None`` = cost
-    model default, ``0`` = row-at-a-time); results are identical for
-    every setting.
+    model default); results are identical for every setting.
 
     >>> from repro.relational import Catalog, Relation
     >>> c = Catalog()

@@ -21,9 +21,9 @@ segment family            contents
 
 :class:`StoredTable` opens such a file and hands out each structure
 lazily; :class:`StoredRelation` is the `Relation` face of the FNF chunks
-— it satisfies the whole row protocol but only materializes tuples if a
-consumer actually demands ``.rows``, and exposes
-:meth:`~StoredRelation.iter_stored_batches` so the batch plan path
+— it satisfies the whole Relation interface but only materializes tuples
+if a consumer actually demands ``.rows``, and exposes
+:meth:`~StoredRelation.iter_stored_batches` so the plan executor
 streams morsels (with projection pushdown: unprojected column segments
 are never read) straight off mapped pages.
 

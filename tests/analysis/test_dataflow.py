@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.dataflow import (
     CLEAN,
     AbstractValue,
+    DataflowAnalyzer,
     analyze_dataflow,
     analyze_sources,
     build_cfg,
@@ -411,3 +412,32 @@ def test_full_tree_audit_is_fast():
     start = time.perf_counter()
     analyze_dataflow([str(REPO_ROOT / "src" / "repro")])
     assert time.perf_counter() - start < 10.0
+
+
+def test_every_plan_node_batches_is_a_kernel():
+    """Kernel discovery follows PlanNode bases transitively, so the join
+    nodes (which inherit through ``_JoinBase``) are audited too."""
+    analyzer = DataflowAnalyzer()
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        analyzer.load(path, path.read_text(encoding="utf-8"))
+    analyzer.run()
+    nodes = {
+        "SSJoinNode", "Select", "Project", "Extend", "Rename", "Distinct",
+        "OrderBy", "Limit", "GroupBy",
+        "HashJoin", "MergeJoin", "LeftOuterJoin",
+    }
+    assert {f"{n}.batches" for n in nodes} <= analyzer.kernel_quals
+    assert all(q.endswith(".batches") for q in analyzer.kernel_quals)
+
+
+def test_kernel_discovery_follows_bases_across_modules():
+    analyzer = DataflowAnalyzer()
+    analyzer.load("base.py", "class PlanNode:\n    def batches(self):\n        pass\n")
+    analyzer.load(
+        "nodes.py",
+        "class Mid(PlanNode):\n    pass\n\n"
+        "class Leaf(Mid):\n    def batches(self):\n        pass\n\n"
+        "class Other:\n    def batches(self):\n        pass\n",
+    )
+    analyzer.run()
+    assert analyzer.kernel_quals == {"PlanNode.batches", "Leaf.batches"}

@@ -8,10 +8,8 @@ from repro.relational.aggregates import agg_count, agg_sum
 from repro.relational.catalog import Catalog
 from repro.relational.expressions import col
 from repro.relational.plan import (
-    Custom,
     Extend,
     GroupBy,
-    Groupwise,
     HashJoin,
     Limit,
     MaterializedInput,
@@ -198,51 +196,6 @@ def test_pv106_empty_join_keys(catalog):
 # -- opaque nodes degrade gracefully ----------------------------------------
 
 
-def test_schema_preserving_custom_node_is_probed(catalog):
-    # An undeclared Custom node is probed against an empty input: the
-    # identity transformer provably preserves the child schema, so a bad
-    # reference above it IS caught (and a good one verifies clean).
-    opaque = Custom(TableScan("orders"), lambda rel: rel, "opaque")
-    report = verify_plan(Select(opaque, col("anything") >= 1), catalog)
-    assert "PV101" in rules(report)
-    assert verify_plan(Select(opaque, col("customer") >= 1), catalog).ok
-
-
-def test_unprobeable_custom_node_is_not_guessed_at(catalog):
-    def needs_rows(rel):
-        rel.rows[0]  # raises on the empty probe
-        return rel
-
-    plan = Select(
-        Custom(TableScan("orders"), needs_rows, "row-dependent"),
-        col("anything") >= 1,
-    )
-    # Probing fails, the schema stays unknown, no PV101 can be proven.
-    assert verify_plan(plan, catalog).ok
-
-
-def test_custom_node_with_declared_schema_is_checked(catalog):
-    declared = Custom(
-        TableScan("orders"),
-        lambda rel: Relation(Schema(["x"]), ()),
-        "declared",
-        declares=Schema(["x"]),
-    )
-    assert verify_plan(Select(declared, col("x") >= 1), catalog).ok
-    report = verify_plan(Select(declared, col("y") >= 1), catalog)
-    assert rules(report) == ["PV101"]
-
-
-def test_groupwise_declares(catalog):
-    node = Groupwise(
-        TableScan("orders"),
-        keys=["customer"],
-        subquery=lambda rel: rel,
-        declares=Schema(["customer", "rank"]),
-    )
-    assert verify_plan(Select(node, col("rank") >= 1), catalog).ok
-
-
 # -- check_plan raises -------------------------------------------------------
 
 
@@ -275,11 +228,11 @@ def test_groupby_output_schema(catalog):
     assert list(schema.names) == ["customer", "n", "total"]
 
 
-# -- SSJ113: batch/row protocol mix ------------------------------------------
+# -- shipped operators ------------------------------------------------------
 
 
 def test_ssj113_shipped_operators_clean(catalog):
-    """Every shipped operator's protocol declaration matches its kernels."""
+    """A pipeline of every shipped unary operator verifies clean."""
     plan = Limit(
         Project(
             Extend(
@@ -292,28 +245,3 @@ def test_ssj113_shipped_operators_clean(catalog):
         5,
     )
     assert verify_plan(plan, catalog).ok
-
-
-def test_ssj113_batch_claim_without_kernel(catalog):
-    class FakeVectorized(TableScan):
-        batch_protocol = "batch"
-
-    report = verify_plan(Select(FakeVectorized("orders"), col("amount") >= 1.0),
-                         catalog)
-    assert "SSJ113" in rules(report)
-    (diag,) = [d for d in report.errors() if d.rule == "SSJ113"]
-    assert "inherits the row boundary adapter" in diag.message
-
-
-def test_ssj113_kernel_without_batch_claim(catalog):
-    class RowDeclaredStream(Select):
-        batch_protocol = "row"
-
-        def batches(self, ctx, size):  # pragma: no cover - never run
-            raise NotImplementedError
-
-    plan = RowDeclaredStream(TableScan("orders"), col("amount") >= 1.0)
-    report = verify_plan(plan, catalog)
-    assert "SSJ113" in rules(report)
-    (diag,) = [d for d in report.errors() if d.rule == "SSJ113"]
-    assert "bypasses its vectorized kernel" in diag.message

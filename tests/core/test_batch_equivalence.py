@@ -1,16 +1,23 @@
-"""Satellite 3 (PR-6): the vectorized batch path ≡ the row path, bit for bit.
+"""The batch executor against a naive reference evaluator, bit for bit.
 
 Hypothesis drives random prepared relations and all six predicate families
-(reusing the strategies from the core implementation suite) through one
-composed plan tree — ``SSJoin → σ → π̂ → π`` — executed on the legacy
-row-at-a-time protocol (``batch_size=0``) and on morsel capacities
-{1, 7, 4096}, for every physical implementation and for workers ∈
-{1, 2, 4} on the in-process serial backend.  Every configuration must
-produce the same rows down to float bits and the same deterministic
+(reusing the strategies from the core implementation suite) through
+composed plan trees — ``SSJoin → σ → π̂ → π`` and the seven
+:data:`TAIL_PLANS` (hash aggregate, HAVING, global aggregate, distinct and
+the three equi-joins) — executed at morsel capacities {1, 7, 4096}, for
+every physical implementation and for workers ∈ {1, 2, 4} on the
+in-process serial backend.
+
+The oracle never touches the batch kernels: it takes the pairs of the
+same SSJoin run through the :class:`~repro.core.ssjoin.SSJoin` facade
+(``SSJoin(...).execute(impl).pairs.rows``) and evaluates the relational
+tail with :mod:`tests.core.naive_plans` — plain lists, dicts and
+``sorted``. Every configuration must produce that row list exactly (same
+rows, same order, same float bits) and the facade run's deterministic
 counters (``output_pairs``, ``candidate_pairs``, the verification-engine
-stats).  The worker sweep doubles as the satellite-2 regression: the
-serial parallel backend funnels its merged columns through the same
-single boundary adapter as the sequential path, so its metrics cannot
+stats). The worker sweep doubles as the regression for the serial
+parallel backend: it funnels its merged columns through the same
+canonical-order relation as the sequential path, so its metrics cannot
 drift from the one-worker run.
 """
 
@@ -49,6 +56,7 @@ from repro.relational.plan import (
 )
 from repro.tokenize.sets import WeightedSet
 
+from tests.core import naive_plans as naive
 from tests.core.test_implementations import predicates, prepared_relations
 
 IMPLEMENTATIONS = (
@@ -94,6 +102,32 @@ def _build_plan(left, right, predicate, implementation):
     return Project(extended, ["a_r", "a_s", "overlap", "weight"])
 
 
+def _naive_pipeline(pairs):
+    """The :func:`_build_plan` tail over the facade's pair rows."""
+    rel = naive.select(pairs, lambda r: r["norm_r"] <= r["norm_s"])
+    rel = naive.extend(rel, "weight", lambda r: r["overlap"] * 2.0 + r["norm_r"])
+    return naive.project(rel, ["a_r", "a_s", "overlap", "weight"])
+
+
+def _oracle(
+    left, right, predicate, implementation, tail, workers=None, ssjoin_runs=1
+):
+    """Rows and counters of the naive tail over the facade's SSJoin run.
+
+    A plan whose inputs both reference one SSJoin node executes it once
+    per reference; *ssjoin_runs* scales the expected counters to match.
+    """
+    run_metrics = ExecutionMetrics()
+    result = SSJoin(left, right, predicate).execute(
+        implementation, metrics=run_metrics, workers=workers
+    )
+    metrics = ExecutionMetrics()
+    for _ in range(ssjoin_runs):
+        metrics.merge(run_metrics)
+    pairs = naive.relation(result.pairs.column_names, result.pairs.rows)
+    return tail(pairs)[1], metrics
+
+
 def _execute(left, right, predicate, implementation, batch_size, workers=None):
     plan = _build_plan(left, right, predicate, implementation)
     metrics = ExecutionMetrics()
@@ -111,20 +145,22 @@ def _assert_counters_equal(got, expected, label):
 
 @pytest.mark.parametrize("implementation", IMPLEMENTATIONS)
 class TestBatchMatchesRow:
+    """The pipeline shape matches the naive row-list evaluator."""
+
     @given(prepared_relations("r"), prepared_relations("s"), predicates())
     @settings(max_examples=25, deadline=None)
     def test_batch_sizes_identical(self, implementation, left, right, predicate):
-        row_rows, row_metrics = _execute(
-            left, right, predicate, implementation, batch_size=0
+        expected, oracle_metrics = _oracle(
+            left, right, predicate, implementation, _naive_pipeline
         )
         for size in BATCH_SIZES:
             batch_rows, batch_metrics = _execute(
                 left, right, predicate, implementation, batch_size=size
             )
             # Exact list equality: same rows, same order, same float bits.
-            assert batch_rows == row_rows, f"batch_size={size}"
+            assert batch_rows == expected, f"batch_size={size}"
             _assert_counters_equal(
-                batch_metrics, row_metrics, f"batch_size={size}"
+                batch_metrics, oracle_metrics, f"batch_size={size}"
             )
 
     @given(prepared_relations("r"), prepared_relations("s"), predicates())
@@ -132,21 +168,15 @@ class TestBatchMatchesRow:
     def test_workers_times_batch_sizes_identical(
         self, implementation, left, right, predicate
     ):
-        base_rows, base_metrics = _execute(
-            left, right, predicate, implementation, batch_size=0
-        )
-        # The parallel merge emits canonical sorted order; the sequential
-        # path keeps first-seen order — compare order-independently but
-        # deterministically, by the full row repr.
-        expected = sorted(base_rows, key=repr)
         for workers in WORKERS:
-            # Verify-engine counters may differ between sequential and
-            # group-hash-sharded execution (shard-local signatures), so
-            # across workers only the join counters are pinned — but
-            # across batch sizes, at a fixed worker count, *every*
-            # counter must be identical: batching is pure plumbing.
-            reference = None
-            for size in (0,) + BATCH_SIZES:
+            # The facade run at the same worker count is the oracle's
+            # source: the parallel merge emits canonical sorted order, the
+            # one-worker path first-seen order, and the plan follows suit.
+            expected, oracle_metrics = _oracle(
+                left, right, predicate, implementation, _naive_pipeline,
+                workers=workers,
+            )
+            for size in BATCH_SIZES:
                 rows, metrics = _execute(
                     left,
                     right,
@@ -156,22 +186,13 @@ class TestBatchMatchesRow:
                     workers=workers,
                 )
                 label = f"workers={workers} batch_size={size}"
-                assert sorted(rows, key=repr) == expected, label
-                assert metrics.output_pairs == base_metrics.output_pairs, label
-                assert (
-                    metrics.candidate_pairs == base_metrics.candidate_pairs
-                ), label
-                if reference is None:
-                    reference = metrics
-                else:
-                    assert (
-                        metrics.verify_stats() == reference.verify_stats()
-                    ), label
+                assert rows == expected, label
+                _assert_counters_equal(metrics, oracle_metrics, label)
 
 
 #: Vectorized-tail plan shapes layered over the SSJoin source — one per
-#: batch kernel family added in PR 9 (hash aggregate, HAVING, global
-#: aggregate, distinct, build/probe joins, sort-merge, outer join).
+#: batch kernel family (hash aggregate, HAVING, global aggregate,
+#: distinct, build/probe joins, sort-merge, outer join).
 TAIL_PLANS = (
     "group-order",
     "having",
@@ -227,6 +248,53 @@ def _tail_plan(kind, left, right, predicate):
     return LeftOuterJoin(grouped, matched, keys=[("a_r", "a_s")])
 
 
+#: The join shapes read the SSJoin node from both inputs.
+_SSJOIN_RUNS = {"hash-join": 2, "merge-join": 2, "left-join": 2}
+
+
+def _naive_tail(kind):
+    """The :func:`_tail_plan` shape *kind* as a naive evaluator."""
+
+    def tail(pairs):
+        if kind == "group-order":
+            grouped = naive.group_by(
+                pairs,
+                ["a_r"],
+                [
+                    ("n", "count", None),
+                    ("s", "sum", "overlap"),
+                    ("lo", "min", "norm_s"),
+                    ("hi", "max", "norm_s"),
+                    ("mean", "avg", "overlap"),
+                ],
+            )
+            return naive.order_by(grouped, [("n", True), ("a_r", False)])
+        if kind == "having":
+            return naive.group_by(
+                pairs, ["a_s"], [("n", "count", None)], having=lambda g: g["n"] >= 2
+            )
+        if kind == "global-agg":
+            return naive.group_by(
+                pairs,
+                [],
+                [("n", "count", None), ("s", "sum", "overlap"), ("mean", "avg", "norm_r")],
+            )
+        if kind == "distinct":
+            firsts = naive.distinct(naive.project(pairs, ["a_r"]))
+            return naive.order_by(firsts, [("a_r", False)])
+        grouped = naive.group_by(pairs, ["a_r"], [("n", "count", None)])
+        won = naive.select(pairs, lambda r: r["norm_s"] <= r["norm_r"])
+        matched = naive.distinct(naive.project(won, ["a_s"]))
+        join = {
+            "hash-join": naive.hash_join,
+            "merge-join": naive.merge_join,
+            "left-join": naive.left_outer_join,
+        }[kind]
+        return join(grouped, matched, "a_r", "a_s")
+
+    return tail
+
+
 def _execute_tail(kind, left, right, predicate, batch_size, workers=None):
     plan = _tail_plan(kind, left, right, predicate)
     metrics = ExecutionMetrics()
@@ -238,22 +306,23 @@ def _execute_tail(kind, left, right, predicate, batch_size, workers=None):
 
 @pytest.mark.parametrize("kind", TAIL_PLANS)
 class TestVectorizedTailMatchesRow:
-    """PR-9 tentpole: aggregation, sort, distinct and join batch kernels
-    reproduce the row path bit for bit at every morsel capacity."""
+    """Aggregation, sort, distinct and join batch kernels reproduce the
+    naive row-list evaluator bit for bit at every morsel capacity."""
 
     @given(prepared_relations("r"), prepared_relations("s"), predicates())
     @settings(max_examples=15, deadline=None)
     def test_batch_sizes_identical(self, kind, left, right, predicate):
-        row_rows, row_metrics = _execute_tail(
-            kind, left, right, predicate, batch_size=0
+        expected, oracle_metrics = _oracle(
+            left, right, predicate, "prefix", _naive_tail(kind),
+            ssjoin_runs=_SSJOIN_RUNS.get(kind, 1),
         )
         for size in BATCH_SIZES:
             batch_rows, batch_metrics = _execute_tail(
                 kind, left, right, predicate, batch_size=size
             )
-            assert batch_rows == row_rows, f"{kind} batch_size={size}"
+            assert batch_rows == expected, f"{kind} batch_size={size}"
             _assert_counters_equal(
-                batch_metrics, row_metrics, f"{kind} batch_size={size}"
+                batch_metrics, oracle_metrics, f"{kind} batch_size={size}"
             )
 
     @given(prepared_relations("r"), prepared_relations("s"), predicates())
@@ -263,25 +332,24 @@ class TestVectorizedTailMatchesRow:
     ):
         # Parallel SSJoin merges shards in canonical order, which can
         # permute group discovery order relative to the sequential scan —
-        # so rows are pinned per worker count, across morsel sizes.
+        # so the oracle is fed the facade's pairs at the same worker count.
         for workers in WORKERS:
-            reference_rows = None
-            reference_metrics = None
-            for size in (0,) + BATCH_SIZES:
+            expected, oracle_metrics = _oracle(
+                left, right, predicate, "prefix", _naive_tail(kind),
+                workers=workers, ssjoin_runs=_SSJOIN_RUNS.get(kind, 1),
+            )
+            for size in BATCH_SIZES:
                 rows, metrics = _execute_tail(
                     kind, left, right, predicate, batch_size=size, workers=workers
                 )
                 label = f"{kind} workers={workers} batch_size={size}"
-                if reference_rows is None:
-                    reference_rows = rows
-                    reference_metrics = metrics
-                else:
-                    assert rows == reference_rows, label
-                    _assert_counters_equal(metrics, reference_metrics, label)
+                assert rows == expected, label
+                _assert_counters_equal(metrics, oracle_metrics, label)
 
 
 class TestSerialBackendBoundaryAdapter:
-    """Satellite 2: one shared boundary adapter for the serial backend."""
+    """The serial backend and the sequential fallback share one
+    canonical-order relation function."""
 
     LEFT = {
         "r0": WeightedSet({"a": 0.5, "b": 1.0, "c": 2.0}),
@@ -318,7 +386,7 @@ class TestSerialBackendBoundaryAdapter:
                 metrics=metrics,
                 backend=BACKEND_SERIAL,
             )
-            # When shards actually ran, the canonical adapter hands back
+            # When shards actually ran, the canonical function hands back
             # a columnar relation — the workers shipped columns and no
             # path re-materialized rows (workers=1 short-circuits to the
             # sequential engine, whose output stays row-backed).
@@ -329,8 +397,8 @@ class TestSerialBackendBoundaryAdapter:
 
     def test_sequential_fallback_uses_same_adapter(self):
         # workers="auto" on a tiny input resolves to the in-process
-        # sequential path, which now flows through the same
-        # _canonical_relation adapter as the merged parallel result.
+        # sequential path, which flows through the same
+        # _canonical_relation function as the merged parallel result.
         left, right, predicate = self._relations()
         result = parallel_ssjoin(
             left,

@@ -1,4 +1,8 @@
-"""Unit tests for GROUP BY / HAVING."""
+"""Unit tests for GROUP BY / HAVING.
+
+Each case runs the stream kernel over two-row morsels, so accumulator
+state must carry across batch boundaries.
+"""
 
 import pytest
 
@@ -10,10 +14,19 @@ from repro.relational.aggregates import (
     agg_max,
     agg_min,
     agg_sum,
-    group_by,
+    group_by_stream,
 )
+from repro.relational.batch import columnar_relation_from_batches, stream_relation
 from repro.relational.expressions import col
 from repro.relational.relation import Relation
+
+
+def group_by(relation, keys, aggregates, having=None):
+    return columnar_relation_from_batches(
+        group_by_stream(
+            stream_relation(relation, 2), keys, aggregates, having=having, batch_size=2
+        )
+    )
 
 
 @pytest.fixture

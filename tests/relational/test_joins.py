@@ -1,7 +1,8 @@
-"""Unit + property tests for the join algorithms.
+"""Unit + property tests for the equi-join kernels.
 
-The load-bearing invariant: hash join, merge join and the nested-loop join
-with an equality predicate must produce identical bags on any input.
+The load-bearing invariant: the hash join, the merge join and a naive
+nested loop with an equality predicate must produce identical bags on any
+input.
 """
 
 import pytest
@@ -9,15 +10,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PlanError
+from repro.relational.batch import columnar_relation_from_batches, stream_relation
 from repro.relational.joins import (
-    JoinCounters,
-    cross_product,
     hash_join,
-    merge_join,
-    nested_loop_join,
-    semi_join,
+    hash_join_stream,
+    left_outer_join_stream,
+    merge_join_stream,
 )
 from repro.relational.relation import Relation
+
+from tests.core import naive_plans as naive
+
+
+def _naive(relation):
+    return naive.relation(relation.column_names, relation.rows)
+
+
+def _streamed(kernel, left, right, keys, prefixes=None):
+    """Run a stream kernel over two relations in two-row morsels."""
+    return columnar_relation_from_batches(
+        kernel(
+            stream_relation(left, 2),
+            stream_relation(right, 2),
+            keys,
+            prefixes=prefixes,
+            batch_size=2,
+        )
+    )
+
+
+def merge_join(left, right, keys, prefixes=None):
+    return _streamed(merge_join_stream, left, right, keys, prefixes)
+
+
+def left_outer_join(left, right, keys, prefixes=None):
+    return _streamed(left_outer_join_stream, left, right, keys, prefixes)
 
 
 @pytest.fixture
@@ -72,13 +99,6 @@ class TestHashJoin:
         out = hash_join(a, b, keys=[("x", "x2"), ("y", "y2")])
         assert out.rows == ((1, 1, 1, 1),)
 
-    def test_counters(self, left, right):
-        c = JoinCounters()
-        hash_join(left, right, keys=[("b", "b")], counters=c)
-        assert c.output_rows == 4
-        assert c.probes > 0
-        assert "output_rows=4" in repr(c)
-
     def test_empty_key_spec_rejected(self, left, right):
         with pytest.raises(PlanError):
             hash_join(left, right, keys=[])
@@ -94,38 +114,30 @@ class TestMergeJoin:
         out = merge_join(left, right, keys=[("b", "b")], prefixes=("L", "R"))
         assert out.column_names == ("L.a", "L.b", "R.b", "R.c")
 
-    def test_counters(self, left, right):
-        c = JoinCounters()
-        merge_join(left, right, keys=[("b", "b")], counters=c)
-        assert c.output_rows == 4
-
 
 class TestNestedLoop:
+    """The naive nested loop the equivalence oracle is built on."""
+
     def test_theta_join(self, left, right):
-        out = nested_loop_join(
-            left, right, lambda l, r: l[1] is not None and r[0] is not None and l[1] < r[0]
+        _names, rows = naive.nested_loop_join(
+            _naive(left),
+            _naive(right),
+            lambda l, r: l[1] is not None and r[0] is not None and l[1] < r[0],
         )
         # b=1 < {2,2,3} -> 3 rows; b=2 < 3 -> 2 rows
-        assert out.num_rows == 5
+        assert len(rows) == 5
 
     def test_counter_counts_all_pairs(self, left, right):
-        c = JoinCounters()
-        nested_loop_join(left, right, lambda l, r: False, counters=c)
-        assert c.comparisons == 16
+        calls = []
+        naive.nested_loop_join(
+            _naive(left), _naive(right), lambda l, r: calls.append(1) and False
+        )
+        assert len(calls) == 16
 
     def test_cross_product(self, left, right):
-        assert cross_product(left, right).num_rows == 16
-
-
-class TestSemiJoin:
-    def test_semi(self, left, right):
-        out = semi_join(left, right, keys=[("b", "b")])
-        assert sorted(out.column_values("a")) == ["y", "z"]
-        assert out.column_names == ("a", "b")
-
-    def test_semi_null(self, left, right):
-        out = semi_join(left, right, keys=[("b", "b")])
-        assert ("w", None) not in out.rows
+        names, rows = naive.nested_loop_join(_naive(left), _naive(right), lambda l, r: True)
+        assert len(rows) == 16
+        assert names == ["a", "b", "b", "c"]
 
 
 @st.composite
@@ -144,9 +156,13 @@ class TestJoinEquivalenceProperties:
     def test_hash_merge_nested_agree(self, inputs):
         left, right = inputs
         h = hash_join(left, right, keys=[("k", "k2")])
+        hs = _streamed(hash_join_stream, left, right, keys=[("k", "k2")])
         m = merge_join(left, right, keys=[("k", "k2")])
-        n = nested_loop_join(left, right, lambda l, r: l[0] == r[0])
-        assert sorted(h.rows) == sorted(m.rows) == sorted(n.rows)
+        _names, n = naive.nested_loop_join(
+            _naive(left), _naive(right), lambda l, r: l[0] == r[0]
+        )
+        assert sorted(h.rows) == sorted(m.rows) == sorted(n)
+        assert hs.rows == h.rows
 
     @given(join_inputs())
     @settings(max_examples=40, deadline=None)
@@ -163,8 +179,6 @@ class TestJoinEquivalenceProperties:
 
 class TestLeftOuterJoin:
     def test_unmatched_left_rows_padded(self, left, right):
-        from repro.relational.joins import left_outer_join
-
         out = left_outer_join(left, right, keys=[("b", "b")])
         # x(b=1) and w(b=None) have no match: padded rows survive.
         padded = [r for r in out.rows if r[2] is None]
@@ -175,21 +189,9 @@ class TestLeftOuterJoin:
         assert sorted(matched) == sorted(inner.rows)
 
     def test_null_left_key_still_survives(self, left, right):
-        from repro.relational.joins import left_outer_join
-
         out = left_outer_join(left, right, keys=[("b", "b")])
         assert ("w", None, None, None) in out.rows
 
-    def test_counters(self, left, right):
-        from repro.relational.joins import left_outer_join
-
-        c = JoinCounters()
-        out = left_outer_join(left, right, keys=[("b", "b")], counters=c)
-        assert c.probes == 4
-        assert c.output_rows == len(out)
-
     def test_prefixes(self, left, right):
-        from repro.relational.joins import left_outer_join
-
         out = left_outer_join(left, right, keys=[("b", "b")], prefixes=("L", "R"))
         assert out.column_names == ("L.a", "L.b", "R.b", "R.c")

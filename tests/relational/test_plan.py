@@ -1,23 +1,24 @@
 """Unit tests for logical plan nodes and EXPLAIN."""
 
+import re
+
 import pytest
 
 from repro.errors import PlanError
 from repro.relational.aggregates import agg_sum
 from repro.relational.catalog import Catalog
+from repro.relational.context import ExecutionContext
 from repro.relational.expressions import col
 from repro.relational.plan import (
-    Custom,
     Distinct,
     Extend,
     GroupBy,
-    Groupwise,
     HashJoin,
     Limit,
     MaterializedInput,
     MergeJoin,
-    NestedLoopJoin,
     OrderBy,
+    PlanNode,
     Project,
     Select,
     TableScan,
@@ -83,16 +84,6 @@ class TestJoins:
         node = MergeJoin(TableScan("emp"), TableScan("dept"), keys=[("dept", "d")])
         assert node.execute(catalog).num_rows == 3
 
-    def test_nested_loop_node(self, catalog):
-        node = NestedLoopJoin(
-            TableScan("emp"),
-            TableScan("dept"),
-            predicate=lambda l, r: l[0] == r[0],
-            description="dept match",
-        )
-        assert node.execute(catalog).num_rows == 3
-        assert "dept match" in node.label()
-
 
 class TestAggregationNodes:
     def test_group_by_node(self, catalog):
@@ -103,20 +94,6 @@ class TestAggregationNodes:
             having=col("payroll") >= 200,
         )
         assert node.execute(catalog).rows == (("eng", 220),)
-
-    def test_groupwise_node(self, catalog):
-        node = Groupwise(
-            TableScan("emp"),
-            keys=["dept"],
-            subquery=lambda g: g.order_by(["salary"], reverse=True).head(1),
-            description="top earner",
-        )
-        out = node.execute(catalog)
-        assert sorted(r[1] for r in out.rows) == ["ann", "cid"]
-
-    def test_custom_node(self, catalog):
-        node = Custom(TableScan("emp"), lambda r: r.head(1), "take one")
-        assert node.execute(catalog).num_rows == 1
 
 
 class TestExplain:
@@ -135,3 +112,23 @@ class TestExplain:
     def test_explain_rejects_non_node(self):
         with pytest.raises(PlanError):
             explain("not a plan")
+
+
+class TestExecutionProtocol:
+    def test_node_without_kernel_raises_plan_error(self, catalog):
+        class NoKernel(PlanNode):
+            pass
+
+        with pytest.raises(PlanError, match="NoKernel"):
+            NoKernel().execute(catalog)
+
+
+class TestContextEdge:
+    @pytest.mark.parametrize("bad", [0, -1, 2.5, "64", True])
+    def test_bad_batch_size_raises_plan_error(self, bad):
+        with pytest.raises(PlanError, match=re.escape(repr(bad))):
+            ExecutionContext(batch_size=bad)
+
+    def test_of_rejects_other_objects(self):
+        with pytest.raises(PlanError, match="cannot execute a plan against 42"):
+            ExecutionContext.of(42)

@@ -250,9 +250,8 @@ class TestCompilation:
         assert isinstance(grouped.children[0], SSJoinNode)
 
     def test_grouped_plan_has_no_boundary_adapter(self):
-        # PR-9 acceptance: GROUP BY + ORDER BY over SSJoin output executes
-        # end-to-end on the batch protocol — EXPLAIN must show every
-        # operator vectorized, with no row-boundary adapter anywhere.
+        # GROUP BY + ORDER BY over SSJoin output executes end-to-end on
+        # batch kernels — EXPLAIN shows one kernel note per operator.
         statement = parse(
             "SELECT a_r, COUNT(*) AS n, SUM(overlap) AS s FROM t r SSJOIN t s "
             "ON OVERLAP(b) >= 2 GROUP BY a_r HAVING COUNT(*) >= 1 "
@@ -263,7 +262,9 @@ class TestCompilation:
         text = explain(
             plan, context=ExecutionContext(catalog=catalog, batch_size=4096)
         )
-        assert "row (boundary adapter)" not in text
+        nodes = [l for l in text.splitlines() if not l.lstrip().startswith("--")]
+        notes = [l for l in text.splitlines() if "-- batch: " in l]
+        assert len(notes) == len(nodes)
         assert "vectorized hash aggregate" in text
         assert "vectorized sort (blocking)" in text
 
@@ -349,7 +350,7 @@ class TestExecution:
         )
         assert out.rows == (("r1",), ("r2",))
 
-    @pytest.mark.parametrize("batch_size", [0, 1, 7, 4096, None])
+    @pytest.mark.parametrize("batch_size", [1, 7, 4096, None])
     def test_grouped_results_identical_across_batch_sizes(self, batch_size):
         out = execute_sql(
             make_catalog(),

@@ -26,7 +26,6 @@ MODULE_NAMES = [
     "repro.joins.soundex_join",
     "repro.relational.aggregates",
     "repro.relational.groupwise",
-    "repro.relational.query",
     "repro.relational.sql.compiler",
     "repro.relational.sql.lexer",
     "repro.relational.sql.parser",
