@@ -22,7 +22,7 @@ from __future__ import annotations
 from array import array
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.core.ordering import ElementOrdering
+from repro.core.ordering import ElementOrdering, joint_frequencies
 from repro.core.prepared import PreparedRelation
 from repro.errors import ReproError
 from repro.tokenize.sets import WeightedSet
@@ -66,10 +66,7 @@ class TokenDictionary:
         plans' prefixes coincide with the tuple plans'. An explicit
         *ordering* (ablation orders, custom ranks) is honored instead.
         """
-        freq: Dict[Any, int] = {}
-        for rel in relations:
-            for e, n in rel.element_frequencies().items():
-                freq[e] = freq.get(e, 0) + n
+        freq = joint_frequencies(relations)
         if ordering is None:
             ranked = sorted(freq, key=lambda e: (freq[e], repr(e)))
             description = "joint-frequency"

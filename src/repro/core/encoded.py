@@ -14,16 +14,19 @@ Encoding costs one sort per group, so :class:`EncodingCache` memoizes the
 Entries are keyed by a content *fingerprint* of each side (which reflects
 the tokenizer and weight table through the elements and weights
 themselves) and verified by exact group/norm comparison on every hit, so
-repeated benchmark sweeps and the optimizer's costing probes re-encode
-nothing even though each sweep call rebuilds fresh
-:class:`PreparedRelation` objects from the same strings.
+repeated benchmark sweeps re-encode nothing even though each sweep call
+rebuilds fresh :class:`PreparedRelation` objects from the same strings.
+The encoded pair is also the cost model's planning input: the physical
+layer resolves it once per op and prices every plan from its columns
+(:mod:`repro.core.optimizer`).
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
-from typing import Any, List, Optional, Tuple
+from collections import Counter, OrderedDict
+from itertools import chain
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.dictionary import TokenDictionary
 from repro.core.metrics import ExecutionMetrics
@@ -31,8 +34,10 @@ from repro.core.ordering import ElementOrdering
 from repro.core.prepared import PreparedRelation
 
 __all__ = [
+    "EncodedPair",
     "EncodedPreparedRelation",
     "EncodingCache",
+    "build_encoding",
     "encode_pair",
     "encoding_cached",
     "encoding_tier",
@@ -72,6 +77,7 @@ class EncodedPreparedRelation:
         "verify_cache",
         "storage_ref",
         "_num_elements",
+        "_id_frequencies",
     )
 
     def __init__(
@@ -97,6 +103,7 @@ class EncodedPreparedRelation:
         self.storage_ref: Optional[str] = None
         self.keys = list(prepared.groups)
         self._num_elements: Optional[int] = None
+        self._id_frequencies: Optional[Dict[int, int]] = None
         self.ids: List[array] = []
         self.weights: List[array] = []
         self.norms = array("d")
@@ -136,6 +143,7 @@ class EncodedPreparedRelation:
         self.storage_ref = storage_ref
         self.keys = list(prepared.groups)
         self._num_elements = None
+        self._id_frequencies = None
         self.ids = list(ids)
         self.weights = list(weights)
         self.norms = norms
@@ -154,11 +162,27 @@ class EncodedPreparedRelation:
             self._num_elements = sum(len(ids) for ids in self.ids)
         return self._num_elements
 
+    def id_frequencies(self) -> Dict[int, int]:
+        """How many groups contain each id — the element-frequency
+        histogram over int ids (an id occurs at most once per group).
+
+        Memoized like :attr:`num_elements`: the cost model reads it on
+        every plan against this encoding. Callers must not mutate the
+        returned dict.
+        """
+        if self._id_frequencies is None:
+            self._id_frequencies = Counter(chain.from_iterable(self.ids))
+        return self._id_frequencies
+
     def __repr__(self) -> str:
         return (
             f"<EncodedPreparedRelation {self.prepared.name!r} "
             f"groups={self.num_groups} elements={self.num_elements}>"
         )
+
+
+#: A join's ``(left, right)`` encoded pair, sharing one dictionary.
+EncodedPair = Tuple[EncodedPreparedRelation, EncodedPreparedRelation]
 
 
 class EncodingCache:
@@ -234,17 +258,31 @@ class EncodingCache:
         self.misses += 1
         if metrics is not None:
             metrics.encode_cache_misses += 1
-        dictionary = TokenDictionary.from_relations(left, right, ordering=ordering)
-        enc_left = EncodedPreparedRelation(left, dictionary)
-        enc_right = (
-            enc_left
-            if right is left
-            else EncodedPreparedRelation(right, dictionary)
-        )
+        enc_left, enc_right, dictionary = build_encoding(left, right, ordering)
         if self.persistent is not None and self.auto_persist and ordering is None:
             self.persistent.save(left, right, enc_left, enc_right, dictionary)
         self._insert(key, (enc_left, enc_right, dictionary))
         return enc_left, enc_right, dictionary
+
+    def resolve(
+        self,
+        left: PreparedRelation,
+        right: PreparedRelation,
+        ordering: Optional[ElementOrdering] = None,
+        metrics: Optional[ExecutionMetrics] = None,
+    ) -> Tuple[Optional[str], EncodedPair]:
+        """:meth:`encode_pair` plus the tier that served it — ``"memory"``,
+        ``"disk"`` or ``None`` (built) — i.e. what :meth:`tier` would
+        have answered just before, without a second lookup."""
+        hits, disk_hits = self.hits, self.disk_hits
+        enc_left, enc_right, _ = self.encode_pair(left, right, ordering, metrics)
+        if self.hits > hits:
+            tier: Optional[str] = "memory"
+        elif self.disk_hits > disk_hits:
+            tier = "disk"
+        else:
+            tier = None
+        return tier, (enc_left, enc_right)
 
     def _insert(self, key: Tuple, entry: Tuple) -> None:
         self._entries[key] = entry
@@ -331,6 +369,22 @@ class EncodingCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+def build_encoding(
+    left: PreparedRelation,
+    right: PreparedRelation,
+    ordering: Optional[ElementOrdering] = None,
+) -> Tuple[EncodedPreparedRelation, EncodedPreparedRelation, TokenDictionary]:
+    """Encode both sides under one fresh dictionary, bypassing every cache.
+
+    A self-join (``right is left``) encodes once and returns the same
+    object for both sides.
+    """
+    dictionary = TokenDictionary.from_relations(left, right, ordering=ordering)
+    enc_left = EncodedPreparedRelation(left, dictionary)
+    enc_right = enc_left if right is left else EncodedPreparedRelation(right, dictionary)
+    return enc_left, enc_right, dictionary
 
 
 #: Process-wide cache shared by the facade, the optimizer, and callers

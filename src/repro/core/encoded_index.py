@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.basic import RESULT_SCHEMA
-from repro.core.encoded import EncodedPreparedRelation, encode_pair
+from repro.core.encoded import EncodedPair, EncodedPreparedRelation, encode_pair
 from repro.core.encoded_prefix import prefix_length
 from repro.core.metrics import (
     PHASE_FILTER,
@@ -78,12 +78,14 @@ def encoded_index_probe_ssjoin(
     metrics: Optional[ExecutionMetrics] = None,
     index: Optional[EncodedInvertedIndex] = None,
     verify_config: Optional[VerifyConfig] = None,
+    encoding: Optional[EncodedPair] = None,
 ) -> Relation:
     """Probe-side encoded SSJoin; returns a RESULT_SCHEMA relation.
 
-    Pass a prebuilt *index* (whose encoded relation must share the
-    dictionary that will encode *left*) to amortize construction across a
-    lookup workload.  Between the discovery and completion passes the
+    Pass a prebuilt *encoding* pair to skip the cache lookup, or a
+    prebuilt *index* (whose encoded relation must share the dictionary
+    that will encode *left*) to amortize construction across a lookup
+    workload.  Between the discovery and completion passes the
     verification engine drops candidates whose bitmap bound or
     ``partial + left-suffix-weight`` bound cannot reach the pair
     threshold, so the completion pass updates (and the final check
@@ -94,7 +96,10 @@ def encoded_index_probe_ssjoin(
 
     with m.phase(PHASE_PREP):
         if index is None:
-            enc_left, enc_right, _ = encode_pair(left, right, ordering, metrics=m)
+            if encoding is None:
+                enc_left, enc_right, _ = encode_pair(left, right, ordering, metrics=m)
+            else:
+                enc_left, enc_right = encoding
             index = EncodedInvertedIndex(enc_right)
         else:
             # Probe against a prebuilt index: the probe side must speak the

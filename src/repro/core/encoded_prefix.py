@@ -25,7 +25,9 @@ agree to float round-off, absorbed by the shared ``OVERLAP_EPSILON``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import chain
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.basic import RESULT_SCHEMA
 from repro.core.encoded import EncodedPreparedRelation, encode_pair
@@ -47,6 +49,7 @@ __all__ = [
     "encoded_prefix_ssjoin",
     "group_prefix_lengths",
     "merge_overlap",
+    "prefix_id_frequencies",
     "prefix_length",
 ]
 
@@ -113,13 +116,7 @@ def group_prefix_lengths(
     Predicates are frozen/hashable; an unhashable bound owner skips the
     cache rather than failing.
     """
-    key = None
-    try:
-        owner = bound_fn.__self__
-        hash(owner)  # unhashable owners (mutable predicates) skip the cache
-        key = (getattr(bound_fn, "__name__", None), owner)
-    except (AttributeError, TypeError):
-        pass
+    key = _bound_key(bound_fn)
     if key is not None:
         cached = encoded.prefix_cache.get(key)
         if cached is not None:
@@ -134,6 +131,44 @@ def group_prefix_lengths(
     if key is not None:
         encoded.prefix_cache[key] = lengths
     return lengths
+
+
+def prefix_id_frequencies(
+    encoded: EncodedPreparedRelation, bound_fn: Callable[[float], float]
+) -> Dict[int, int]:
+    """Id histogram of the β-prefixes: how many groups keep each id in
+    their prefix (the leading :func:`group_prefix_lengths` ids).
+
+    Memoized on ``encoded.prefix_cache`` beside the lengths, for the
+    cost model's repeated plans against one cached encoding. Callers
+    must not mutate the returned dict.
+    """
+    key = _bound_key(bound_fn)
+    memo_key = None if key is None else ("prefix-frequencies",) + key
+    if memo_key is not None:
+        cached = encoded.prefix_cache.get(memo_key)
+        if cached is not None:
+            return cached
+    lengths = group_prefix_lengths(encoded, bound_fn)
+    ids = encoded.ids
+    freq: Dict[int, int] = Counter(
+        chain.from_iterable(ids[g][:k] for g, k in enumerate(lengths) if k)
+    )
+    if memo_key is not None:
+        encoded.prefix_cache[memo_key] = freq
+    return freq
+
+
+def _bound_key(bound_fn: Callable[[float], float]) -> Optional[Tuple[Any, ...]]:
+    """Memo key of a predicate bound method: ``(name, predicate)``, or
+    ``None`` when the owner is unhashable (mutable predicates skip the
+    memo rather than fail)."""
+    try:
+        owner = bound_fn.__self__
+        hash(owner)
+    except (AttributeError, TypeError):
+        return None
+    return (getattr(bound_fn, "__name__", None), owner)
 
 
 def encoded_prefix_ssjoin(

@@ -12,7 +12,7 @@ The model is deliberately simple and histogram-exact where it can be:
   (``Σ_t f_R(t)·f_S(t)``), plus grouping that same row count.
 * The **prefix** plans' costs are the prefix extraction (sorting each
   group), the far smaller equi-join of prefixes (again histogram-exact,
-  over the *actual* extracted prefixes), and a verification term — regroup
+  over the *actual* β-prefixes), and a verification term — regroup
   joins proportional to candidate-pair set sizes for the plain prefix plan,
   an encoded-set overlap per candidate for the inline plan.
 * The **dictionary-encoded** plans (``encoded-prefix``, ``encoded-probe``)
@@ -21,21 +21,27 @@ The model is deliberately simple and histogram-exact where it can be:
   already holds this input pair — which is how repeat workloads (sweeps,
   re-planning) automatically route to the fast path.
 
-Because prefixes are cheap to extract relative to any join, the optimizer
-*actually extracts them* and prices the real filtered relations instead of
-guessing — the same trick a DBMS plays with sampled statistics, with the
-sample rate turned up to 100%.
+Every statistic is read off the dictionary-encoded pair the encoded plans
+run on (:mod:`repro.core.encoded`). Its ids are assigned in the global
+ordering ``O``, so a group's β-prefix is a leading slice of its id array
+and every histogram is an int-keyed count: the prefixes are the *actual*
+ones, not a guess — the same trick a DBMS plays with sampled statistics,
+with the sample rate turned up to 100%. The physical layer resolves that
+pair once per op through the run's encoding cache and hands it to both
+the cost model and the chosen encoded plan, which reuses the memoized
+prefix lengths; no tuple prefix relation or element ordering is built
+unless a tuple plan is chosen.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
-from repro.core.encoded import encoding_tier
-from repro.core.ordering import ElementOrdering, frequency_ordering
+from repro.core.encoded import EncodedPair, build_encoding, encoding_tier
+from repro.core.encoded_prefix import group_prefix_lengths, prefix_id_frequencies
+from repro.core.ordering import ElementOrdering
 from repro.core.predicate import OverlapPredicate
-from repro.core.prefix_filter import prefix_filter_relation
 from repro.core.prepared import PreparedRelation
 from repro.core.verify import (
     choose_signature_bits,
@@ -43,10 +49,6 @@ from repro.core.verify import (
     predicate_strictness,
 )
 from repro.errors import OptimizerError
-from repro.relational.stats import ColumnStats, estimate_equijoin_size
-
-if TYPE_CHECKING:  # the optimizer only touches Relation in estimates
-    from repro.relational.relation import Relation
 
 __all__ = [
     "CostEstimate",
@@ -139,14 +141,33 @@ class CostModel:
         right: PreparedRelation,
         predicate: OverlapPredicate,
         ordering: Optional[ElementOrdering] = None,
+        encoding: Optional[EncodedPair] = None,
+        tier: Optional[str] = None,
     ) -> List[CostEstimate]:
-        """Cost every implementation; cheapest first."""
-        if ordering is None:
-            ordering = frequency_ordering(left, right)
+        """Cost every implementation; cheapest first.
 
-        lstats = _element_stats(left)
-        rstats = _element_stats(right)
-        join_rows = float(estimate_equijoin_size(lstats, rstats))
+        *encoding* is the ``(left, right)`` encoded pair the encoded plans
+        will run on, and *tier* the encoding-cache tier that served it
+        (``"memory"`` / ``"disk"`` / ``None``), read *before* it was
+        resolved. Without *encoding* the pair is built here, outside every
+        cache, under *ordering* (joint frequency when ``None``), and the
+        tier is probed on the global cache — so a bare call leaves cache
+        contents and counters unchanged.
+        """
+        if encoding is None:
+            # A bare caller cannot say whether *ordering* was defaulted,
+            # and the facade encodes under the user's key (None when
+            # defaulted), so probe both cache keys.
+            tier = encoding_tier(left, right, None)
+            if tier is None and ordering is not None:
+                tier = encoding_tier(left, right, ordering)
+            enc_left, enc_right, _ = build_encoding(left, right, ordering)
+        else:
+            enc_left, enc_right = encoding
+
+        lfreq = enc_left.id_frequencies()
+        rfreq = enc_right.id_frequencies()
+        join_rows = float(_join_size(lfreq, rfreq))
         n_left = left.num_elements
         n_right = right.num_elements
 
@@ -158,12 +179,20 @@ class CostModel:
             {"equijoin_rows": join_rows, "input_rows": n_left + n_right},
         )
 
-        # Extract the real prefixes and price the filtered join exactly.
-        pl = prefix_filter_relation(left, predicate, ordering, side="left")
-        pr = prefix_filter_relation(right, predicate, ordering, side="right")
-        plstats = ColumnStats.from_relation(pl, "b")
-        prstats = ColumnStats.from_relation(pr, "b")
-        prefix_join_rows = float(estimate_equijoin_size(plstats, prstats))
+        # Price the filtered join exactly over the real β-prefixes: leading
+        # slices of the id arrays, lengths memoized for the encoded plan.
+        left_bound = predicate.left_filter_threshold
+        right_bound = predicate.right_filter_threshold
+        lprefix = group_prefix_lengths(enc_left, left_bound)
+        rprefix = group_prefix_lengths(enc_right, right_bound)
+        plfreq = prefix_id_frequencies(enc_left, left_bound)
+        prfreq = (
+            plfreq
+            if enc_right is enc_left and rprefix == lprefix
+            else prefix_id_frequencies(enc_right, right_bound)
+        )
+        prefix_join_rows = float(_join_size(plfreq, prfreq))
+        prefix_rows = float(sum(lprefix) + sum(rprefix))
         prefix_cost = self.PREFIX_ELEMENT * (n_left + n_right)
 
         avg_left = n_left / max(left.num_groups, 1)
@@ -175,12 +204,12 @@ class CostModel:
         prefix = CostEstimate(
             "prefix",
             prefix_cost
-            + self.BUILD_ROW * (len(pl) + len(pr))
+            + self.BUILD_ROW * prefix_rows
             + self.JOIN_ROW * prefix_join_rows
             + self.VERIFY_ROW * candidates * (avg_left + avg_right)
             + self.GROUP_ROW * candidates * min(avg_left, avg_right),
             {
-                "prefix_rows": float(len(pl) + len(pr)),
+                "prefix_rows": prefix_rows,
                 "prefix_join_rows": prefix_join_rows,
                 "est_candidates": candidates,
             },
@@ -189,12 +218,12 @@ class CostModel:
         inline = CostEstimate(
             "inline",
             prefix_cost
-            + self.BUILD_ROW * (len(pl) + len(pr))
+            + self.BUILD_ROW * prefix_rows
             + self.JOIN_ROW * prefix_join_rows
             + self.INLINE_PAIR * candidates
             + self.INLINE_ELEMENT * candidates * min(avg_left, avg_right),
             {
-                "prefix_rows": float(len(pl) + len(pr)),
+                "prefix_rows": prefix_rows,
                 "prefix_join_rows": prefix_join_rows,
                 "est_candidates": candidates,
             },
@@ -204,7 +233,7 @@ class CostModel:
         # side, probe left prefixes to discover candidates, complete with
         # suffix elements (touching only already-known candidates, hence
         # the completion discount).
-        left_prefix_probe_rows = float(estimate_equijoin_size(plstats, rstats))
+        left_prefix_probe_rows = float(_join_size(plfreq, rfreq))
         suffix_rows = max(join_rows - left_prefix_probe_rows, 0.0)
         probe = CostEstimate(
             "probe",
@@ -221,11 +250,6 @@ class CostModel:
         # Dictionary-encoded plans: the same shapes as prefix/probe but
         # with int-native per-row costs, plus a one-time encode term that
         # the encoding cache amortizes away on repeat workloads.
-        # The facade encodes under the *user's* ordering key (None when it
-        # defaulted to joint frequency), so probe both cache keys.
-        tier = encoding_tier(left, right, None) or encoding_tier(
-            left, right, ordering
-        )
         cached = tier == "memory"
         if cached:
             encode_cost = 0.0
@@ -249,9 +273,7 @@ class CostModel:
             else 0.0
         )
         strictness = predicate_strictness(predicate, mean_norm)
-        verify_bits = choose_signature_bits(
-            lstats.num_distinct + rstats.num_distinct, strictness
-        )
+        verify_bits = choose_signature_bits(len(lfreq) + len(rfreq), strictness)
         prune = estimated_prune_fraction(strictness) if verify_bits else 0.0
         signature_cost = (
             0.0 if cached or not verify_bits else self.SIGNATURE_ELEMENT * (n_left + n_right)
@@ -261,12 +283,12 @@ class CostModel:
             "encoded-prefix",
             encode_cost
             + signature_cost
-            + self.ENCODED_POSTING * (len(pl) + len(pr) + prefix_join_rows)
+            + self.ENCODED_POSTING * (prefix_rows + prefix_join_rows)
             + (self.VERIFY_BOUND * candidates if verify_bits else 0.0)
             + self.MERGE_ELEMENT * candidates * (1.0 - prune) * (avg_left + avg_right),
             {
                 "encode_rows": 0.0 if cached else float(n_left + n_right),
-                "prefix_rows": float(len(pl) + len(pr)),
+                "prefix_rows": prefix_rows,
                 "prefix_join_rows": prefix_join_rows,
                 "est_candidates": candidates,
                 "est_prune_fraction": prune,
@@ -373,8 +395,12 @@ def calibrate_cost_model(
             right: PreparedRelation,
             predicate: OverlapPredicate,
             ordering: Optional[ElementOrdering] = None,
+            encoding: Optional[EncodedPair] = None,
+            tier: Optional[str] = None,
         ) -> List[CostEstimate]:
-            raw = CostModel.estimate_all(self, left, right, predicate, ordering)
+            raw = CostModel.estimate_all(
+                self, left, right, predicate, ordering, encoding, tier
+            )
             rescaled = [
                 CostEstimate(
                     e.implementation,
@@ -394,22 +420,30 @@ def choose_implementation(
     predicate: OverlapPredicate,
     ordering: Optional[ElementOrdering] = None,
     model: Optional[CostModel] = None,
+    encoding: Optional[EncodedPair] = None,
+    tier: Optional[str] = None,
 ) -> CostEstimate:
-    """Pick the cheapest implementation under the cost model."""
-    estimates = (model or CostModel()).estimate_all(left, right, predicate, ordering)
+    """Pick the cheapest implementation under the cost model.
+
+    *encoding* and *tier* are passed through to
+    :meth:`CostModel.estimate_all`.
+    """
+    estimates = (model or CostModel()).estimate_all(
+        left, right, predicate, ordering, encoding, tier
+    )
     if not estimates:
         raise OptimizerError("no implementations could be costed")
     return estimates[0]
 
 
-def _element_stats(prepared: PreparedRelation) -> ColumnStats:
-    """Element (``b`` column) statistics of a prepared relation.
+def _join_size(left: Dict[int, int], right: Dict[int, int]) -> int:
+    """Exact equi-join output size of two id histograms,
+    ``Σ_t f_L(t)·f_R(t)``, iterating the smaller one."""
+    small, large = (left, right) if len(left) <= len(right) else (right, left)
+    total = 0
+    for token, count in small.items():
+        other = large.get(token)
+        if other:
+            total += count * other
+    return total
 
-    Built from the group dicts directly — equivalent to
-    ``ColumnStats.from_relation(prepared.relation, "b")`` without forcing
-    the First-Normal-Form materialization.
-    """
-    freq = prepared.element_frequencies()
-    return ColumnStats(
-        num_rows=prepared.num_elements, num_distinct=len(freq), frequencies=freq
-    )

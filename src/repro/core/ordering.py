@@ -22,6 +22,7 @@ from repro.tokenize.weights import WeightTable
 __all__ = [
     "ElementOrdering",
     "frequency_ordering",
+    "joint_frequencies",
     "weight_ordering",
     "random_ordering",
     "reverse_frequency_ordering",
@@ -113,11 +114,18 @@ class ElementOrdering:
         return f"ElementOrdering({self.description}, |ranked|={len(self._ranks)})"
 
 
-def _combined_frequencies(
-    relations: Iterable[PreparedRelation],
-) -> Dict[Any, int]:
+def joint_frequencies(relations: Iterable[PreparedRelation]) -> Dict[Any, int]:
+    """Summed element frequencies over distinct *relations*.
+
+    A relation passed twice (a self-join's two sides) is counted once:
+    doubling every count leaves every frequency rank unchanged, so the
+    second pass would be pure waste.
+    """
+    distinct = list({id(rel): rel for rel in relations}.values())
+    if len(distinct) == 1:
+        return distinct[0].element_frequencies()
     freq: Dict[Any, int] = {}
-    for rel in relations:
+    for rel in distinct:
         for e, n in rel.element_frequencies().items():
             freq[e] = freq.get(e, 0) + n
     return freq
@@ -128,7 +136,7 @@ def frequency_ordering(*relations: PreparedRelation) -> ElementOrdering:
 
     Ties are broken by element repr so the order is stable across runs.
     """
-    freq = _combined_frequencies(relations)
+    freq = joint_frequencies(relations)
     ranked = sorted(freq, key=lambda e: (freq[e], repr(e)))
     return ElementOrdering(
         {e: i for i, e in enumerate(ranked)}, description="increasing-frequency"
@@ -141,7 +149,7 @@ def reverse_frequency_ordering(*relations: PreparedRelation) -> ElementOrdering:
     Keeps the most common elements in every prefix, maximizing candidate
     pairs; Lemma 1 still guarantees correctness.
     """
-    freq = _combined_frequencies(relations)
+    freq = joint_frequencies(relations)
     ranked = sorted(freq, key=lambda e: (-freq[e], repr(e)))
     return ElementOrdering(
         {e: i for i, e in enumerate(ranked)}, description="decreasing-frequency"

@@ -14,8 +14,9 @@ logical node into one of the concrete implementations
 ``encoded-probe``   dictionary-encoded index probe + bitmap verify engine
 ================  ==========================================================
 
-selected either explicitly or by the cost model over
-:mod:`repro.relational.stats` histograms (``implementation="auto"``). All
+selected either explicitly or by the cost model
+(``implementation="auto"``), which prices every plan from the
+dictionary-encoded pair the encoded plans then run on. All
 run-scoped configuration — metrics, cost model, worker pool, encoding
 cache, verify tuning — comes from one
 :class:`~repro.relational.context.ExecutionContext` rather than ad-hoc
@@ -29,11 +30,12 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
 from repro.core.basic import basic_ssjoin
-from repro.core.encoded_index import EncodedInvertedIndex, encoded_index_probe_ssjoin
+from repro.core.encoded import EncodedPair, EncodingCache, global_encoding_cache
+from repro.core.encoded_index import encoded_index_probe_ssjoin
 from repro.core.encoded_prefix import encoded_prefix_ssjoin
 from repro.core.index import index_probe_ssjoin
 from repro.core.inline import inline_ssjoin
-from repro.core.metrics import ExecutionMetrics
+from repro.core.metrics import PHASE_PREP, ExecutionMetrics
 from repro.core.optimizer import CostEstimate, choose_implementation
 from repro.core.ordering import ElementOrdering, frequency_ordering
 from repro.core.predicate import OverlapPredicate
@@ -43,7 +45,17 @@ from repro.errors import PlanError
 from repro.relational.context import ExecutionContext
 from repro.relational.relation import Relation
 
-__all__ = ["SSJoinResult", "execute_physical", "execute_ssjoin_node"]
+__all__ = [
+    "ENCODED_IMPLEMENTATIONS",
+    "SSJoinResult",
+    "execute_physical",
+    "execute_ssjoin_node",
+    "resolve_encoding",
+    "run_cache",
+]
+
+#: The plans that run on the dictionary-encoded pair.
+ENCODED_IMPLEMENTATIONS = ("encoded-prefix", "encoded-probe")
 
 
 @dataclass(frozen=True)
@@ -99,8 +111,10 @@ def execute_physical(
         cache on the user's value so the lazily-built default never
         fragments the key.
     encoding:
-        Optional prebuilt ``(left, right)`` encoding pair for the encoded
-        plans; both sides must share one TokenDictionary.
+        Optional prebuilt ``(left, right)`` encoding pair for the cost
+        model and the encoded plans; both sides must share one
+        TokenDictionary. Without it the pair is resolved once through
+        the run's encoding cache.
     context:
         The run's :class:`ExecutionContext`. ``context.verify`` runs the
         static invariant verifier (SSJ1xx) first; ``context.workers``
@@ -151,33 +165,26 @@ def execute_physical(
             verify_config=ctx.verify_config,
             encoding_cache=ctx.encoding_cache,
         )
-        if result.implementation in ("encoded-prefix", "encoded-probe"):
-            cache = ctx.encoding_cache
-            if cache is None:
-                from repro.core.encoded import global_encoding_cache
-
-                cache = global_encoding_cache()
-            result.metrics.extra["encoding_cache"] = cache.stats()
+        if result.implementation in ENCODED_IMPLEMENTATIONS:
+            result.metrics.extra["encoding_cache"] = run_cache(ctx.encoding_cache).stats()
         return result
     m = ctx.metrics
     estimate: Optional[CostEstimate] = None
     impl = implementation
-    if impl == "auto":
-        estimate = choose_implementation(
-            left, right, predicate, built_ordering(), model=ctx.cost_model
-        )
-        impl = estimate.implementation
-
     enc = encoding
-    if (
-        enc is None
-        and ctx.encoding_cache is not None
-        and impl in ("encoded-prefix", "encoded-probe")
-    ):
-        # A context-scoped cache overrides the process-global one, so
-        # plans sharing a context also share their encodings.
-        l_enc, r_enc, _ = ctx.encoding_cache.encode_pair(left, right, ordering, m)
-        enc = (l_enc, r_enc)
+    if impl == "auto" or (enc is None and impl in ENCODED_IMPLEMENTATIONS):
+        # One planning input per op: the encoded pair, resolved once
+        # through the run's cache and shared by the cost model and the
+        # chosen encoded plan.
+        tier, enc = resolve_encoding(
+            left, right, ordering, encoding, ctx.encoding_cache, m
+        )
+        if impl == "auto":
+            estimate = choose_implementation(
+                left, right, predicate, ordering, model=ctx.cost_model,
+                encoding=enc, tier=tier,
+            )
+            impl = estimate.implementation
 
     if impl == "basic":
         pairs = basic_ssjoin(left, right, predicate, metrics=m)
@@ -209,7 +216,7 @@ def execute_physical(
         pairs = encoded_index_probe_ssjoin(
             left, right, predicate,
             ordering=ordering, metrics=m,
-            index=(None if enc is None else EncodedInvertedIndex(enc[1])),
+            encoding=enc,
             verify_config=ctx.verify_config,
         )
     else:
@@ -217,14 +224,38 @@ def execute_physical(
             f"unknown implementation {implementation!r}; expected "
             "basic/prefix/inline/probe/encoded-prefix/encoded-probe/auto"
         )
-    if impl in ("encoded-prefix", "encoded-probe"):
-        cache = ctx.encoding_cache
-        if cache is None:
-            from repro.core.encoded import global_encoding_cache
-
-            cache = global_encoding_cache()
-        m.extra["encoding_cache"] = cache.stats()
+    if impl in ENCODED_IMPLEMENTATIONS:
+        m.extra["encoding_cache"] = run_cache(ctx.encoding_cache).stats()
     return SSJoinResult(pairs=pairs, metrics=m, implementation=impl, cost_estimate=estimate)
+
+
+def run_cache(cache: Optional[EncodingCache]) -> EncodingCache:
+    """The encoding cache a run uses: its own, else the global one."""
+    return global_encoding_cache() if cache is None else cache
+
+
+def resolve_encoding(
+    left: PreparedRelation,
+    right: PreparedRelation,
+    ordering: Optional[ElementOrdering],
+    encoding: Optional[EncodedPair],
+    cache: Optional[EncodingCache],
+    metrics: ExecutionMetrics,
+) -> Tuple[Optional[str], EncodedPair]:
+    """The run's encoded pair and the cache tier that serves it.
+
+    The tier (``"memory"`` / ``"disk"`` / ``None``) is the state before
+    the pair is resolved, so the cost model charges what resolving it
+    cost. The pair is keyed on the user's *ordering* (None when
+    defaulted): the dictionary's joint-frequency ids realize the default
+    ordering. A prebuilt *encoding* is returned as given, with the tier
+    the run's cache reports for the pair.
+    """
+    cache = run_cache(cache)
+    if encoding is not None:
+        return cache.tier(left, right, ordering), encoding
+    with metrics.phase(PHASE_PREP):
+        return cache.resolve(left, right, ordering, metrics)
 
 
 def execute_ssjoin_node(node: Any, context: ExecutionContext) -> SSJoinResult:

@@ -167,7 +167,7 @@ class SSJoin:
         note = ""
         if impl == "auto":
             estimate = choose_implementation(
-                self.left, self.right, self.predicate, self.ordering
+                self.left, self.right, self.predicate, self._user_ordering
             )
             impl = estimate.implementation
             note = f"  -- chosen by cost model: {estimate!r}\n"

@@ -38,11 +38,12 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.basic import RESULT_SCHEMA
-from repro.core.encoded import encode_pair
+from repro.core.encoded import EncodedPair
 from repro.core.encoded_prefix import group_prefix_lengths
-from repro.core.metrics import PHASE_PREFIX, PHASE_PREP, ExecutionMetrics
+from repro.core.metrics import PHASE_PREFIX, ExecutionMetrics
 from repro.core.optimizer import IMPLEMENTATIONS, CostEstimate, CostModel
 from repro.core.ordering import ElementOrdering, frequency_ordering
+from repro.core.physical import ENCODED_IMPLEMENTATIONS, resolve_encoding
 from repro.core.predicate import OverlapPredicate
 from repro.core.prepared import PreparedRelation
 from repro.core.ssjoin import SSJoin, SSJoinResult
@@ -272,8 +273,9 @@ def parallel_ssjoin(
         per-stage counters equal the sequential run's.
     encoding_cache:
         A context-scoped :class:`repro.core.encoded.EncodingCache` for
-        the parent-side encode phase (``None`` = the process-global
-        cache). A cache seeded from an attached
+        the parent-side encode phase, which feeds the cost model, the
+        token-range plan and the sequential fallback alike (``None`` =
+        the process-global cache). A cache seeded from an attached
         :class:`repro.storage.store.StoredTable` makes the encode phase
         a pure lookup, and its persisted ``storage_ref`` is what lets
         the process backend ship slim by-reference payloads.
@@ -286,12 +288,20 @@ def parallel_ssjoin(
     model = cost_model or CostModel()
 
     # Cost estimation is only consulted when something is left to choose:
-    # with an explicit implementation AND an explicit worker count the
-    # full estimate_all pass (which extracts prefix relations to size the
-    # candidate sets) is pure overhead on the hot path.
+    # with an explicit implementation AND an explicit worker count there
+    # is nothing to price. When it runs, it prices the encoded pair
+    # resolved once through the run's cache, which the encoded plans then
+    # reuse (parent-side token-range planning or the sequential fallback).
     chosen: Optional[CostEstimate] = None
-    if implementation == "auto" or workers == "auto":
-        estimates = model.estimate_all(left, right, predicate, ordering)
+    planning = implementation == "auto" or workers == "auto"
+    tier: Optional[str] = None
+    enc: Optional[EncodedPair] = None
+    if planning or implementation in ENCODED_IMPLEMENTATIONS:
+        tier, enc = resolve_encoding(left, right, ordering, None, encoding_cache, m)
+    if planning:
+        estimates = model.estimate_all(
+            left, right, predicate, ordering, encoding=enc, tier=tier
+        )
         if implementation == "auto":
             chosen = estimates[0]
         else:
@@ -317,10 +327,12 @@ def parallel_ssjoin(
     n_workers = choose_workers(
         workers, sequential_cost, ship_elements, model=model, oversplit=oversplit
     )
+    if impl not in ENCODED_IMPLEMENTATIONS:
+        enc = None
     if n_workers <= 1 or left.num_groups == 0:
         return _sequential(
             left, right, predicate, impl, chosen, ordering, m, workers,
-            verify_config,
+            verify_config, enc,
         )
 
     start = time.perf_counter()
@@ -328,9 +340,9 @@ def parallel_ssjoin(
     stored_payload: Optional[StoredTokenRangePayload] = None
     if impl == "encoded-prefix":
         strategy = KIND_TOKEN_RANGE
+        assert enc is not None  # resolved above for every encoded plan
         payload, shards, universe, stored_payload = _plan_token_range(
-            left, right, predicate, ordering, n_shards, m, verify_config,
-            encoding_cache=encoding_cache,
+            enc, predicate, n_shards, m, verify_config
         )
     else:
         strategy = "group-hash"
@@ -410,10 +422,13 @@ def _sequential(
     m: ExecutionMetrics,
     requested: Union[int, str],
     verify_config: Optional[VerifyConfig] = None,
+    encoding: Optional[EncodedPair] = None,
 ) -> SSJoinResult:
-    """The workers<=1 path: plain SSJoin, canonical order, mode marker."""
+    """The workers<=1 path: plain SSJoin, canonical order, mode marker.
+
+    *encoding* is the pair already resolved for an encoded plan."""
     start = time.perf_counter()
-    result = SSJoin(left, right, predicate, ordering=ordering).execute(
+    result = SSJoin(left, right, predicate, ordering=ordering, encoding=encoding).execute(
         impl, metrics=m, verify_config=verify_config
     )
     report = ParallelReport(
@@ -450,8 +465,8 @@ def _plan_group_hash(
     resolved = ordering if ordering is not None else frequency_ordering(left, right)
     payload = GroupHashPayload(
         # Fresh copies so pickling ships groups and norms, not the lazily
-        # accumulated caches (prefix memos, base-relation views) hanging
-        # off long-lived relations.
+        # accumulated memos (element frequencies, base-relation views)
+        # hanging off long-lived relations.
         left=PreparedRelation.from_sets(dict(left.groups), dict(left.norms), name=left.name),
         right=PreparedRelation.from_sets(dict(right.groups), dict(right.norms), name=right.name),
         predicate=predicate,
@@ -463,14 +478,11 @@ def _plan_group_hash(
 
 
 def _plan_token_range(
-    left: PreparedRelation,
-    right: PreparedRelation,
+    encoding: EncodedPair,
     predicate: OverlapPredicate,
-    ordering: Optional[ElementOrdering],
     n_shards: int,
     m: ExecutionMetrics,
     verify_config: Optional[VerifyConfig] = None,
-    encoding_cache: Optional[Any] = None,
 ) -> Tuple[
     TokenRangePayload,
     List[ShardDescriptor],
@@ -480,11 +492,8 @@ def _plan_token_range(
     # Encode + prefix phases run once in the parent (cache-hot, and
     # identical to the sequential plan's PREP/PREFIX work); workers get
     # the finished arrays and only execute SSJOIN/FILTER.
-    with m.phase(PHASE_PREP):
-        enc_left, enc_right, dictionary = encode_pair(
-            left, right, ordering, metrics=m, cache=encoding_cache
-        )
-        m.prepared_rows += enc_left.num_elements + enc_right.num_elements
+    enc_left, enc_right = encoding
+    m.prepared_rows += enc_left.num_elements + enc_right.num_elements
     with m.phase(PHASE_PREFIX):
         left_prefix = group_prefix_lengths(enc_left, predicate.left_filter_threshold)
         right_prefix = group_prefix_lengths(enc_right, predicate.right_filter_threshold)
@@ -549,7 +558,7 @@ def _plan_token_range(
         verify_positional=positional,
         verify_early_exit=early,
     )
-    universe = len(dictionary)
+    universe = len(enc_left.dictionary)
     shards = plan_token_range_shards(
         enc_left.ids, left_prefix, enc_right.ids, right_prefix, universe, n_shards
     )

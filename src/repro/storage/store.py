@@ -401,6 +401,7 @@ def load_encoded_ref(
     enc.storage_ref = ref
     enc.keys = keys
     enc._num_elements = None
+    enc._id_frequencies = None
     enc.ids = [
         flat_ids[offsets[g] : offsets[g + 1]] for g in range(len(offsets) - 1)
     ]

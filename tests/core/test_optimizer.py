@@ -117,3 +117,66 @@ class TestCalibration:
         fastest = min(times, key=times.get)
         # timing noise: accept any plan within 3x of the fastest
         assert times[pick] <= times[fastest] * 3.0
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace *owner.name* with a counting wrapper wherever a ``repro``
+    module or class holds it; returns the one-slot call counter."""
+    import sys
+
+    original = getattr(owner, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "repro" or mod_name.startswith("repro."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+class TestPlanningInput:
+    def test_context_cache_holding_the_pair_charges_no_encode(self):
+        from repro.core.encoded import EncodingCache, encoding_tier
+        from repro.core.ssjoin import SSJoin
+
+        values = [f"ctx cache {i} road unit{i % 5}" for i in range(40)]
+        prepared = PreparedRelation.from_strings(values, words)
+        assert encoding_tier(prepared, prepared) is None  # not in the global cache
+        cache = EncodingCache()
+        cache.encode_pair(prepared, prepared)
+        pred = OverlapPredicate.two_sided(0.8)
+        for workers in (None, 1):
+            result = SSJoin(prepared, prepared, pred).execute(
+                "auto", encoding_cache=cache, workers=workers
+            )
+            assert result.implementation in ("encoded-prefix", "encoded-probe")
+            assert result.cost_estimate.details["encode_rows"] == 0.0
+        assert cache.misses == 1 and cache.hits == 2
+
+    def test_auto_self_join_plans_over_one_encoding(self, monkeypatch):
+        from repro.core import ordering, prefix_filter
+        from repro.core.encoded import EncodingCache
+        from repro.core.ssjoin import SSJoin
+
+        values = [f"count {i} main st unit{i % 3} city{i % 7}" for i in range(60)]
+        prepared = PreparedRelation.from_strings(values, words)
+        frequencies = _count_calls(monkeypatch, PreparedRelation, "element_frequencies")
+        encodes = _count_calls(monkeypatch, EncodingCache, "encode_pair")
+        prefixes = _count_calls(monkeypatch, prefix_filter, "prefix_filter_relation")
+        orderings = _count_calls(monkeypatch, ordering, "frequency_ordering")
+
+        result = SSJoin(prepared, prepared, OverlapPredicate.two_sided(0.8)).execute()
+
+        assert result.implementation in ("encoded-prefix", "encoded-probe")
+        assert frequencies[0] == 1
+        assert encodes[0] == 1
+        assert prefixes[0] == 0
+        assert orderings[0] == 0
